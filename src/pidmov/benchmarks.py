@@ -10,14 +10,14 @@ round-to-printed-precision check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cascade import CascadeProblem
 from .lti import DiscreteTransferFunction
 from .reports import SuiteReport, SuiteRow
-from .singleloop import SingleLoopProblem, assess_single, mv_benchmark
+from .singleloop import AssessmentError, SingleLoopProblem, assess_single, mv_benchmark
 from .tlbo import TlboConfig
 from .tuning import TuningProblem
 
@@ -183,12 +183,11 @@ def run_benchmark_suite(
     cfg: TlboConfig | None = None,
     repetitions: int = 5,
     problems: list[int] | None = None,
-    jobs: int = 1,
 ) -> SuiteReport:
     """Assess every selected problem and compare against the reference table.
 
-    Per-problem optimizer errors are recorded, not raised, so one divergent
-    problem cannot abort the suite.
+    Per-problem optimizer errors (``AssessmentError``) are recorded as failed
+    rows, not raised, so one divergent problem cannot abort the suite.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -202,37 +201,33 @@ def run_benchmark_suite(
         ref = REFERENCE[problem_id]
         problem = load_benchmark(problem_id)
         mv = mv_benchmark(problem)
-        try:
-            report = assess_single(problem, cfg, runs=repetitions)
-        except Exception as exc:  # noqa: BLE001 - suite must keep going
-            return SuiteRow(
-                problem_id=problem_id,
-                mv_computed=mv,
-                mv_reference=ref.mv,
-                mv_matches_reference=round(mv, ref.decimals) == ref.mv,
-                mov_mean=math.inf, mov_std=math.inf, mov_worst=math.inf,
-                mov_reference=ref.mean, bkmov=ref.bkmov,
-                mov_ok=False, std_ok=False, beats_bkmov=False,
-                params_mean=[math.nan] * 3,
-                params_reference=list(ref.params),
-                params_within_1pct=False,
-                mean_elapsed_s=math.nan,
-                reference_time_s=ref.time_s,
-            )
-        params_close = all(
-            abs(m - r) <= PARAM_RTOL * abs(r) if r != 0 else abs(m) <= PARAM_RTOL
-            for m, r in zip(report.params_mean, ref.params)
-        )
-        return SuiteRow(
+        failed = SuiteRow(
             problem_id=problem_id,
             mv_computed=mv,
             mv_reference=ref.mv,
             mv_matches_reference=round(mv, ref.decimals) == ref.mv,
+            mov_mean=math.inf, mov_std=math.inf, mov_worst=math.inf,
+            mov_reference=ref.mean, bkmov=ref.bkmov,
+            mov_ok=False, std_ok=False, beats_bkmov=False,
+            params_mean=[math.nan] * 3,
+            params_reference=list(ref.params),
+            params_within_1pct=False,
+            mean_elapsed_s=math.nan,
+            reference_time_s=ref.time_s,
+        )
+        try:
+            report = assess_single(problem, cfg, runs=repetitions)
+        except AssessmentError:
+            return failed
+        params_close = all(
+            abs(m - r) <= PARAM_RTOL * abs(r) if r != 0 else abs(m) <= PARAM_RTOL
+            for m, r in zip(report.params_mean, ref.params)
+        )
+        return replace(
+            failed,
             mov_mean=report.mov,
             mov_std=report.mov_std,
             mov_worst=report.mov_worst,
-            mov_reference=ref.mean,
-            bkmov=ref.bkmov,
             mov_ok=matches_reference(report.mov, ref.mean, ref.decimals),
             std_ok=report.mov_std <= STD_RTOL * report.mov,
             beats_bkmov=(
@@ -240,21 +235,12 @@ def run_benchmark_suite(
                 or round(report.mov, ref.decimals) <= ref.bkmov
             ),
             params_mean=[float(x) for x in report.params_mean],
-            params_reference=list(ref.params),
             params_within_1pct=params_close,
             mean_elapsed_s=report.mean_elapsed,
-            reference_time_s=ref.time_s,
         )
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, ids))
-    else:
-        rows = [one(i) for i in ids]
     return SuiteReport(
-        rows=rows,
+        rows=[one(i) for i in ids],
         repetitions=repetitions,
         optimizer_config=cfg,
         assumptions=[SIGMA_ASSUMPTION],

@@ -30,9 +30,9 @@ from .lti import (
     shift_trunc,
     solve_trunc,
 )
-from .reports import AssessmentReport, collect_run_stats
-from .singleloop import AssessmentError, CountingObjective, _run_optimizer
-from .tlbo import DIVERGENCE_SENTINEL, TlboConfig
+from .reports import AssessmentReport
+from .singleloop import CountingObjective, _assess, guarded_variance
+from .tlbo import TlboConfig
 
 
 @dataclass(frozen=True)
@@ -123,31 +123,17 @@ def cascade_variance(
     )
 
 
-def _guarded_cascade_variance(phi1, phi2, s1, s2_) -> float:
-    bad = ~np.isfinite(phi1) | ~np.isfinite(phi2)
-    if bad.any():
-        j = int(np.argmax(bad))
-        n = phi1.size
-        return DIVERGENCE_SENTINEL * (1.0 + (n - j) / n)
-    v = (
-        float(phi1 @ phi1) * s1 * s1
-        + float(phi2 @ phi2) * s2_ * s2_
-        + 2.0 * float(phi1 @ phi2) * s1 * s2_
-    )
-    if not math.isfinite(v):
-        return DIVERGENCE_SENTINEL
-    return v
-
-
 def cascade_objective(problem: CascadeProblem) -> CountingObjective:
     """Outer-output variance as a function of (k4, k5, k6)."""
     series = _cascade_series(problem)
     s1 = math.sqrt(problem.noise_variances[0])
-    s2_ = math.sqrt(problem.noise_variances[1])
+    s2 = math.sqrt(problem.noise_variances[1])
 
     def fn(k: np.ndarray) -> float:
         phi1, phi2 = _phis(*series, k)
-        return _guarded_cascade_variance(phi1, phi2, s1, s2_)
+        # the fully correlated cross term makes the variance one sum of squares
+        with np.errstate(over="ignore", invalid="ignore"):
+            return guarded_variance(s1 * phi1 + s2 * phi2, 1.0)
 
     return CountingObjective(fn)
 
@@ -156,7 +142,6 @@ def assess_cascade(
     problem: CascadeProblem,
     cfg: TlboConfig | None = None,
     runs: int = 30,
-    jobs: int = 1,
 ) -> AssessmentReport:
     """Estimate the achievable outer-output variance over independent runs.
 
@@ -165,48 +150,4 @@ def assess_cascade(
     the achievability claim is carried by ``mov_best``; mean/std remain the
     run-to-run reliability statistics.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    cfg = cfg or TlboConfig(dimensions=3)
-    if cfg.dimensions != 3:
-        raise ValueError("cascade assessment needs a 3-dimensional config")
-    objective = cascade_objective(problem)
-    results = _run_optimizer(objective, cfg, runs, jobs)
-    for r in results:
-        if not math.isfinite(r.best_fitness) or r.best_fitness >= DIVERGENCE_SENTINEL:
-            raise AssessmentError(
-                f"optimizer failed to find a finite-variance controller "
-                f"(best fitness {r.best_fitness:.3e})"
-            )
-    stats = collect_run_stats(results)
-    return AssessmentReport(
-        kind="cascade",
-        mov=stats.mean,
-        mov_std=stats.std,
-        mov_worst=stats.worst,
-        mov_best=stats.best,
-        params_mean=stats.params_mean,
-        params_std=stats.params_std,
-        runs=runs,
-        evaluations=objective.evaluations,
-        mean_elapsed=stats.mean_elapsed,
-        per_run=stats.per_run,
-        problem_summary=summarize_cascade(problem),
-        optimizer_config=cfg,
-        run_histories=stats.histories,
-    )
-
-
-def summarize_cascade(problem: CascadeProblem) -> dict:
-    def tf(t):
-        return {"num": list(t.num), "den": list(t.den), "delay": t.delay}
-
-    return {
-        "type": "cascade",
-        "outer": tf(problem.outer),
-        "inner": tf(problem.inner),
-        "outer_disturbance": tf(problem.outer_disturbance),
-        "inner_disturbance": tf(problem.inner_disturbance),
-        "noise_variances": list(problem.noise_variances),
-        "truncation": problem.truncation,
-    }
+    return _assess(problem, cascade_objective(problem), cfg, runs)

@@ -223,9 +223,9 @@ def cmd_assess(args) -> int:
     single = isinstance(loop, SingleLoopProblem)
     try:
         if single:
-            report = assess_single(loop, cfg, runs=runs, jobs=args.jobs)
+            report = assess_single(loop, cfg, runs=runs)
         else:
-            report = assess_cascade(loop, cfg, runs=runs, jobs=args.jobs)
+            report = assess_cascade(loop, cfg, runs=runs)
     except AssessmentError as exc:
         print(f"assessment failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -327,8 +327,7 @@ def cmd_bench(args) -> int:
     cfg = TlboConfig(dimensions=3, seed=args.seed if args.seed is not None else 0)
     runs = args.runs if args.runs is not None else 5
     try:
-        report = run_benchmark_suite(cfg, repetitions=runs, problems=problems,
-                                     jobs=args.jobs)
+        report = run_benchmark_suite(cfg, repetitions=runs, problems=problems)
     except KeyError as exc:
         print(str(exc.args[0]), file=sys.stderr)
         return EXIT_USAGE
@@ -345,11 +344,9 @@ def cmd_validate(args) -> int:
     loop = _parse_loop(doc)
     mc_cfg = _parse_mc(doc)
     if args.samples:
-        mc_cfg = McConfig(samples=args.samples, burn_in=None,
-                          seed=mc_cfg.seed, correlation_mode=mc_cfg.correlation_mode)
+        mc_cfg = replace(mc_cfg, samples=args.samples, burn_in=None)
     if args.mode:
-        mc_cfg = McConfig(samples=mc_cfg.samples, burn_in=mc_cfg.burn_in,
-                          seed=mc_cfg.seed, correlation_mode=args.mode)
+        mc_cfg = replace(mc_cfg, correlation_mode=args.mode)
     params = _params_from_flag(args.params)
     single = isinstance(loop, SingleLoopProblem)
     try:
@@ -382,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="optimizer base seed")
     common.add_argument("--runs", type=int, default=None, help="independent runs")
-    common.add_argument("--jobs", type=int, default=1, help="worker cap")
     common.add_argument("--out", default=None, help="report output directory")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="extra table format (JSON is always written)")

@@ -11,7 +11,7 @@ shock response does not decay before a long simulation is wasted on them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -109,12 +109,7 @@ def mc_variance_single(
     problem: SingleLoopProblem, k: ReducedPidParams, cfg: McConfig
 ) -> McEstimate:
     """Empirical output variance of the stochastic single loop."""
-    probe = SingleLoopProblem(
-        process=problem.process,
-        disturbance=problem.disturbance,
-        noise_variance=problem.noise_variance,
-        truncation=16 * problem.process.delay,
-    )
+    probe = replace(problem, truncation=16 * problem.process.delay)
     _check_decay([_response(*_loop_series(probe), k.as_array())], "single loop")
 
     n = cfg.samples
@@ -163,15 +158,7 @@ def mc_variance_cascade(
     one, which is the reading under which the analytic cross term holds
     exactly; in independent mode the cross contribution averages out.
     """
-    dsum = problem.outer.delay + problem.inner.delay
-    probe = CascadeProblem(
-        outer=problem.outer,
-        inner=problem.inner,
-        outer_disturbance=problem.outer_disturbance,
-        inner_disturbance=problem.inner_disturbance,
-        noise_variances=problem.noise_variances,
-        truncation=16 * dsum,
-    )
+    probe = replace(problem, truncation=16 * (problem.outer.delay + problem.inner.delay))
     _check_decay(_phis(*_cascade_series(probe), k.as_array()), "cascade")
 
     n = cfg.samples

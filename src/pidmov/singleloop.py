@@ -15,7 +15,7 @@ phi'phi * sigma_a^2 is the objective the optimizer drives down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -182,31 +182,22 @@ class AssessmentError(RuntimeError):
     pass
 
 
-def _run_optimizer(objective, cfg: TlboConfig, runs: int, jobs: int = 1) -> list[OptResult]:
-    seeds = run_seeds(cfg.seed, runs)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda s: minimize(objective, replace(cfg, seed=s)), seeds))
-    return [minimize(objective, replace(cfg, seed=s)) for s in seeds]
-
-
-def assess_single(
-    problem: SingleLoopProblem,
-    cfg: TlboConfig | None = None,
-    runs: int = 30,
-    jobs: int = 1,
-) -> AssessmentReport:
-    """Estimate the restricted-structure minimum output variance over
-    independent seeded optimizer runs."""
+def seeded_runs(objective, cfg: TlboConfig, runs: int) -> list[OptResult]:
+    """One optimizer run of ``objective`` per seed derived from ``cfg.seed``,
+    over the three controller gains."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    cfg = cfg or default_cpa_config()
     if cfg.dimensions != 3:
-        raise ValueError("single-loop assessment needs a 3-dimensional config")
-    objective = cpa_objective(problem)
-    results = _run_optimizer(objective, cfg, runs, jobs)
+        raise ValueError("the controller search needs a 3-dimensional config")
+    return [minimize(objective, replace(cfg, seed=s)) for s in run_seeds(cfg.seed, runs)]
+
+
+def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
+            mv: float | None = None) -> AssessmentReport:
+    """Statistics of independent seeded runs minimizing ``objective``; the
+    single loop and the cascade differ only in the objective and the MV floor."""
+    cfg = cfg or default_cpa_config()
+    results = seeded_runs(objective, cfg, runs)
     for r in results:
         if not math.isfinite(r.best_fitness) or r.best_fitness >= DIVERGENCE_SENTINEL:
             raise AssessmentError(
@@ -214,9 +205,9 @@ def assess_single(
                 f"(best fitness {r.best_fitness:.3e})"
             )
     stats = collect_run_stats(results)
-    mv = mv_benchmark(problem)
+    summary = summarize_problem(problem)
     return AssessmentReport(
-        kind="single",
+        kind=summary["type"],
         mov=stats.mean,
         mov_std=stats.std,
         mov_worst=stats.worst,
@@ -224,30 +215,36 @@ def assess_single(
         params_mean=stats.params_mean,
         params_std=stats.params_std,
         mv=mv,
-        eta=mv / stats.mean if stats.mean > 0 else float("nan"),
+        eta=None if mv is None else (mv / stats.mean if stats.mean > 0 else float("nan")),
         runs=runs,
         evaluations=objective.evaluations,
         mean_elapsed=stats.mean_elapsed,
         per_run=stats.per_run,
-        problem_summary=summarize_problem(problem),
+        problem_summary=summary,
         optimizer_config=cfg,
         run_histories=stats.histories,
     )
 
 
-def summarize_problem(problem: SingleLoopProblem) -> dict:
-    return {
-        "type": "single",
-        "process": {
-            "num": list(problem.process.num),
-            "den": list(problem.process.den),
-            "delay": problem.process.delay,
-        },
-        "disturbance": {
-            "num": list(problem.disturbance.num),
-            "den": list(problem.disturbance.den),
-            "delay": problem.disturbance.delay,
-        },
-        "noise_variance": problem.noise_variance,
-        "truncation": problem.truncation,
-    }
+def assess_single(
+    problem: SingleLoopProblem,
+    cfg: TlboConfig | None = None,
+    runs: int = 30,
+) -> AssessmentReport:
+    """Estimate the restricted-structure minimum output variance over
+    independent seeded optimizer runs."""
+    return _assess(problem, cpa_objective(problem), cfg, runs, mv_benchmark(problem))
+
+
+def summarize_problem(problem) -> dict:
+    """Report block of a single-loop or cascade problem: its type and every
+    field, transfer functions as num/den/delay."""
+    out = {"type": "single" if isinstance(problem, SingleLoopProblem) else "cascade"}
+    for f in fields(problem):
+        v = getattr(problem, f.name)
+        if isinstance(v, DiscreteTransferFunction):
+            v = {"num": list(v.num), "den": list(v.den), "delay": v.delay}
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[f.name] = v
+    return out

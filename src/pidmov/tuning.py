@@ -19,17 +19,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import CascadeParams, CascadeProblem, cascade_objective, summarize_cascade
+from .cascade import CascadeParams, CascadeProblem, cascade_objective
 from .reports import TuningReport, TuningRow
 from .singleloop import (
     CountingObjective,
     ReducedPidParams,
     SingleLoopProblem,
     cpa_objective,
-    run_seeds,
+    seeded_runs,
     summarize_problem,
 )
-from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, minimize
+from .tlbo import DIVERGENCE_SENTINEL, TlboConfig
 
 DIVERGENCE_LIMIT_FACTOR = 1e6   # |y| beyond this multiple of the setpoint -> unstable
 
@@ -290,10 +290,8 @@ def _iae_term(record: StepResponseRecord, horizon: int) -> float:
 def tuning_objective(problem: TuningProblem) -> CountingObjective:
     """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters."""
     rho = problem.weight
-    if isinstance(problem.loop, SingleLoopProblem):
-        var_fn = cpa_objective(problem.loop)
-    else:
-        var_fn = cascade_objective(problem.loop)
+    single = isinstance(problem.loop, SingleLoopProblem)
+    var_fn = cpa_objective(problem.loop) if single else cascade_objective(problem.loop)
 
     def fn(k: np.ndarray) -> float:
         record = simulate_step(problem, k)
@@ -318,11 +316,7 @@ def tune(
 ) -> TuningReport:
     """Optimize the combined objective; with ``rho_sweep``, produce one row
     per weight (best of ``runs`` seeded optimizer runs each)."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
     cfg = cfg or TlboConfig(dimensions=3)
-    if cfg.dimensions != 3:
-        raise ValueError("tuning needs a 3-dimensional config")
     rhos = rho_sweep if rho_sweep is not None else [problem.weight]
     if any(r < 0 for r in rhos):
         raise ValueError("weight rho must be >= 0")
@@ -333,12 +327,8 @@ def tune(
     rows = []
     for rho in rhos:
         sub = replace(problem, weight=float(rho))
-        objective = tuning_objective(sub)
-        best = None
-        for s in run_seeds(cfg.seed, runs):
-            r = minimize(objective, replace(cfg, seed=s))
-            if best is None or r.best_fitness < best.best_fitness:
-                best = r
+        results = seeded_runs(tuning_objective(sub), cfg, runs)
+        best = min(results, key=lambda r: r.best_fitness)
         if best.best_fitness >= DIVERGENCE_SENTINEL:
             raise RuntimeError(f"tuning failed to stabilize the loop at rho={rho}")
         record = simulate_step(sub, best.best_point)
@@ -354,9 +344,9 @@ def tune(
             )
         )
 
-    summary = summarize_problem(problem.loop) if single else summarize_cascade(problem.loop)
+    summary = summarize_problem(problem.loop)
     return TuningReport(
-        kind="single" if single else "cascade",
+        kind=summary["type"],
         rows=rows,
         problem_summary=summary,
         optimizer_config=cfg,

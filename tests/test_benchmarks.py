@@ -149,6 +149,12 @@ def test_suite_rejects_unknown_problem():
         run_benchmark_suite(repetitions=1, problems=[42])
 
 
+def test_suite_raises_usage_errors():
+    # only optimizer failures become failed rows; a bad config is the caller's
+    with pytest.raises(ValueError, match="3-dimensional"):
+        run_benchmark_suite(TlboConfig(dimensions=2), repetitions=1, problems=[1])
+
+
 def test_suite_report_serialization():
     report = run_benchmark_suite(TlboConfig(dimensions=3, seed=7),
                                  repetitions=1, problems=[8])

@@ -180,6 +180,22 @@ def test_validate_matches_analytic(tmp_path, capsys):
     assert "rel error" in out
     payload = json.loads((tmp_path / "problem_validate.json").read_text())
     assert payload["relative_error"] < 0.02
+    # --samples re-derives the burn-in from the new sample count
+    assert payload["samples"] == 150000
+    assert payload["burn_in"] == 15000
+
+
+def test_validate_mode_overrides_problem_file(tmp_path, capsys):
+    # the problem file leaves the mode at its fully-correlated default; the
+    # exit code is not checked, since the analytic side is the
+    # fully-correlated variance whatever the mode
+    path = write(tmp_path, CASCADE, "immersion.json")
+    main(["validate", str(path), "--params", "2.7638,-2.6554,-0.8436",
+          "--samples", "20000", "--mode", "independent", "--out", str(tmp_path)])
+    assert "mode independent" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "immersion_validate.json").read_text())
+    assert payload["mode"] == "independent"
+    assert payload["samples"] == 20000
 
 
 def test_validate_unstable_params_fail(tmp_path, capsys):
