@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.signal import lfilter, lfiltic
 
 from .cascade import CascadeParams, CascadeProblem, cascade_objective
 from .reports import TuningReport, TuningRow
@@ -87,38 +88,30 @@ class StepResponseRecord:
     stage_criteria: list[dict] = field(default_factory=list)
 
 
-def _finish_record(y, sp, n, ts, stages, diverged_at=None) -> StepResponseRecord:
-    y = np.asarray(y)
+def _finish_record(y, sp, n, ts, stages, diverged_at) -> StepResponseRecord:
     spv = np.full(n, sp)
     err = spv - y
     stable = diverged_at is None
-    iae = float(np.abs(err).sum()) if stable else math.inf
+    iae = overshoot = settling = math.inf
     if stable:
+        iae = float(np.abs(err).sum())
         # peak excursion beyond the setpoint, in the step direction
         peak = float((y * np.sign(sp)).max())
         overshoot = max((peak - abs(sp)) / abs(sp) * 100.0, 0.0)
-    else:
-        overshoot = math.inf
-    settling = math.inf
-    if stable:
-        band = 0.02 * abs(sp)
-        out_of_band = np.nonzero(np.abs(err) > band)[0]
+        out_of_band = np.nonzero(np.abs(err) > 0.02 * abs(sp))[0]
         if out_of_band.size == 0:
             settling = 0.0
         elif out_of_band[-1] + 1 < n:
             settling = float((out_of_band[-1] + 1) * ts)
-    criteria = []
-    for (start, stop) in stages:
-        seg = err[start:stop]
-        seg_y = y[start:stop]
-        criteria.append(
-            {
-                "start_sample": int(start),
-                "stop_sample": int(stop),
-                "iae": float(np.abs(seg).sum()) if stable else math.inf,
-                "peak_output": float(seg_y.max()) if stable else math.inf,
-            }
-        )
+    criteria = [
+        {
+            "start_sample": start,
+            "stop_sample": stop,
+            "iae": float(np.abs(err[start:stop]).sum()) if stable else math.inf,
+            "peak_output": float(y[start:stop].max()) if stable else math.inf,
+        }
+        for start, stop in stages
+    ]
     return StepResponseRecord(
         time=np.arange(n) * ts,
         setpoint=spv,
@@ -133,7 +126,7 @@ def _finish_record(y, sp, n, ts, stages, diverged_at=None) -> StepResponseRecord
     )
 
 
-def _stage_schedule(stage_params, horizon):
+def _stage_bounds(stage_params, horizon) -> list[tuple[int, int]]:
     if not stage_params:
         raise ValueError("at least one stage is required")
     switches = [int(s) for _, s in stage_params]
@@ -141,101 +134,121 @@ def _stage_schedule(stage_params, horizon):
         raise ValueError("first stage must start at sample 0")
     if any(b <= a for a, b in zip(switches, switches[1:])):
         raise ValueError("switch samples must be strictly increasing")
-    bounds = switches + [horizon]
-    return [(ks, bounds[i], bounds[i + 1]) for i, (ks, _) in enumerate(stage_params)]
+    if switches[-1] >= horizon:
+        raise ValueError("switch samples must lie within the horizon")
+    return list(zip(switches, switches[1:] + [horizon]))
 
 
-def _simulate_single(problem: SingleLoopProblem, stage_params, horizon, ts, amplitude):
-    """Noise-free unit-feedback loop: plant from the process model, incremental
-    controller u(t) = u(t-1) + k1 e(t) + k2 e(t-1) + k3 e(t-2)."""
-    tf = problem.process
-    b = list(tf.num)
-    a = list(tf.den[1:])
-    d = tf.delay
-    nb, na = len(b), len(a)
-    schedule = _stage_schedule(stage_params, horizon)
+class _StepKernel:
+    """Closed-loop polynomials in q^-1 of the noise-free step loop.
+
+    The controller integrates, dI = P e with e = r - y, and drives
+    u = kappa (I - w): P = k1 + k2 q^-1 + k3 q^-2, kappa = 1 and w = 0 in the
+    single loop; P = k4 + k5 q^-1, kappa = k6 and w = y2 (the inner output)
+    in the cascade. For fixed gains
+
+        A_cl = (1 - q^-1) (base + kappa inner) + kappa path P
+        A_cl e = (base + kappa inner) (1 - q^-1) r,   A_cl y2 = inner kappa P r
+
+    with base = a, inner = 0, path = q^-d b in the single loop and
+    base = a1 a2, inner = a1 q^-d2 b2, path = q^-(d1+d2) b1 b2 in the
+    cascade. The error is filtered rather than y: its forcing is a finite
+    pulse, so the integral action drives it to exactly zero instead of to
+    the rounding in the DC gain of path / A_cl.
+    """
+
+    def __init__(self, loop: SingleLoopProblem | CascadeProblem):
+        self.single = isinstance(loop, SingleLoopProblem)
+        if self.single:
+            self.path = _delayed(loop.process)
+            base, inner = np.array(loop.process.den), np.zeros(1)
+        else:
+            qb2 = _delayed(loop.inner)
+            self.path = np.convolve(_delayed(loop.outer), qb2)
+            base = np.convolve(loop.outer.den, loop.inner.den)
+            inner = np.convolve(loop.outer.den, qb2)
+        n = max(base.size, inner.size)
+        self.base = np.pad(base, (0, n - base.size))
+        self.inner = np.pad(inner, (0, n - inner.size))
+
+    def closed_loop(self, ks):
+        """kappa, P, base + kappa inner and A_cl of one gain set."""
+        ks = np.asarray(ks, dtype=float)
+        kappa, p = (1.0, ks) if self.single else (ks[2], ks[:2])
+        lead = self.base + kappa * self.inner
+        fb = kappa * np.convolve(self.path, p)
+        a_cl = np.zeros(max(lead.size + 1, fb.size))
+        a_cl[: lead.size] = lead
+        a_cl[1 : lead.size + 1] -= lead
+        a_cl[: fb.size] += fb
+        return kappa, p, lead, a_cl
+
+
+def _delayed(tf) -> np.ndarray:
+    """q^-d b of a transfer function, as one coefficient vector."""
+    return np.concatenate([np.zeros(tf.delay), tf.num])
+
+
+def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
+    """1/A_cl applied to x, continuing from the earlier outputs ``past``."""
+    if not past.size:
+        return lfilter([1.0], a_cl, x)
+    return lfilter([1.0], a_cl, x, zi=lfiltic([1.0], a_cl, past[::-1]))[0]
+
+
+def _step_response(kernel: _StepKernel, stages, horizon: int, amplitude: float):
+    """Outer output of the step loop, and the first sample where an output
+    left its divergence limit or was not finite (None if none); the output
+    after that sample is zero.
+
+    ``stages`` lists (gains, start) with the first start at 0 and no two
+    consecutive gain sets equal. At a switch s the control before s, written
+    as the new gains' law plus a correction c_u on u, adds (1 - q^-1) c_u to
+    the forcing, and the filters resume from the signals before s.
+    """
     limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
+    # tracking error r - y, inner output (cascade only), and the integrator
+    # increments and kappa actually applied
+    e, y2, d_integ, kappas = np.zeros((4, horizon))
+    for i, (ks, s) in enumerate(stages):
+        stop = stages[i + 1][1] if i + 1 < len(stages) else horizon
+        kappa, p, lead, a_cl = kernel.closed_loop(ks)
+        x = np.zeros(stop)
+        x[: lead.size] = amplitude * lead[:stop]
+        corr = np.zeros(stop)      # (1 - q^-1) c_u
+        if s:
+            w = 0.0 if kernel.single else y2[:s]
+            integ = np.cumsum(d_integ[:s])
+            integ_new = np.cumsum(np.convolve(p, e[:s])[:s])
+            # u(t >= s) - u_new(t) stays at kappa (I - I_new)(s - 1)
+            c_u = np.append(kappas[:s] * (integ - w) - kappa * (integ_new - w),
+                            kappa * (integ[-1] - integ_new[-1]))
+            corr[: s + 1] = np.diff(c_u, prepend=0.0)
+            x -= np.convolve(kernel.path, corr)[:stop]
+        with np.errstate(over="ignore", invalid="ignore"):
+            e[s:stop] = _resume(a_cl, x[s:stop], e[:s])
+            kept = np.abs(amplitude - e[s:stop]) <= limit
+            if not kernel.single:
+                f = kappa * amplitude * np.convolve(p, np.ones(stop))[:stop] + corr
+                y2[s:stop] = _resume(a_cl, np.convolve(kernel.inner, f)[s:stop], y2[:s])
+                # the inner output may run 100x further before the loop counts as lost
+                kept &= np.abs(y2[s:stop]) <= 100.0 * limit
+        if not kept.all():
+            t = s + int(np.argmin(kept))
+            e[t + 1:] = amplitude
+            return amplitude - e, t
+        if stop < horizon:
+            d_integ[s:stop] = np.convolve(p, e[:stop])[s:stop]
+            kappas[s:stop] = kappa
+    return amplitude - e, None
 
-    u = [0.0] * horizon
-    y = [0.0] * horizon
-    e1 = e2 = 0.0
-    stages = []
-    diverged = None
-    for ks, start, stop in schedule:
-        k1, k2, k3 = (float(v) for v in ks)
-        stages.append((start, stop))
-        if diverged is not None:
-            continue
-        for t in range(start, stop):
-            acc = 0.0
-            for j in range(nb):
-                idx = t - d - j
-                if idx >= 0:
-                    acc += b[j] * u[idx]
-            for i in range(na):
-                idx = t - 1 - i
-                if idx >= 0:
-                    acc -= a[i] * y[idx]
-            y[t] = acc
-            if abs(acc) > limit:
-                diverged = t
-                break
-            e = amplitude - acc
-            u[t] = (u[t - 1] if t >= 1 else 0.0) + k1 * e + k2 * e1 + k3 * e2
-            e2, e1 = e1, e
-    return _finish_record(y, amplitude, horizon, ts, stages, diverged)
 
-
-def _simulate_cascade(problem: CascadeProblem, stage_params, horizon, ts, amplitude):
-    """Noise-free cascade: PI primary sets the inner-loop target, gain
-    secondary drives the inner process; records the outer output."""
-    g1, g2 = problem.outer, problem.inner
-    b1, a1, d1 = list(g1.num), list(g1.den[1:]), g1.delay
-    b2, a2, d2 = list(g2.num), list(g2.den[1:]), g2.delay
-    schedule = _stage_schedule(stage_params, horizon)
-    limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
-
-    u = [0.0] * horizon
-    y2 = [0.0] * horizon
-    y1 = [0.0] * horizon
-    v = 0.0
-    e1p = 0.0
-    stages = []
-    diverged = None
-    for ks, start, stop in schedule:
-        k4, k5, k6 = (float(x) for x in ks)
-        stages.append((start, stop))
-        if diverged is not None:
-            continue
-        for t in range(start, stop):
-            acc2 = 0.0
-            for j in range(len(b2)):
-                idx = t - d2 - j
-                if idx >= 0:
-                    acc2 += b2[j] * u[idx]
-            for i in range(len(a2)):
-                idx = t - 1 - i
-                if idx >= 0:
-                    acc2 -= a2[i] * y2[idx]
-            y2[t] = acc2
-            acc1 = 0.0
-            for j in range(len(b1)):
-                idx = t - d1 - j
-                if idx >= 0:
-                    acc1 += b1[j] * y2[idx]
-            for i in range(len(a1)):
-                idx = t - 1 - i
-                if idx >= 0:
-                    acc1 -= a1[i] * y1[idx]
-            y1[t] = acc1
-            if abs(acc1) > limit or abs(acc2) > limit * 100:
-                diverged = t
-                break
-            e1 = amplitude - acc1
-            v = v + k4 * e1 + k5 * e1p
-            e1p = e1
-            u[t] = k6 * (v - acc2)
-    return _finish_record(y1, amplitude, horizon, ts, stages, diverged)
+def _simulate(loop, stages, horizon, ts, amplitude) -> StepResponseRecord:
+    bounds = _stage_bounds(stages, horizon)
+    # one filter run per distinct gain set keeps repeated stages bit-exact
+    distinct = [st for i, st in enumerate(stages) if i == 0 or st[0] != stages[i - 1][0]]
+    y, diverged_at = _step_response(_StepKernel(loop), distinct, horizon, amplitude)
+    return _finish_record(y, amplitude, horizon, ts, bounds, diverged_at)
 
 
 def simulate_step_single(
@@ -245,7 +258,7 @@ def simulate_step_single(
     sample_time: float = 1.0,
     amplitude: float = 1.0,
 ) -> StepResponseRecord:
-    return _simulate_single(problem, [((k.k1, k.k2, k.k3), 0)], horizon, sample_time, amplitude)
+    return _simulate(problem, [((k.k1, k.k2, k.k3), 0)], horizon, sample_time, amplitude)
 
 
 def simulate_step_cascade(
@@ -255,24 +268,18 @@ def simulate_step_cascade(
     sample_time: float = 1.0,
     amplitude: float = 1.0,
 ) -> StepResponseRecord:
-    return _simulate_cascade(problem, [((k.k4, k.k5, k.k6), 0)], horizon, sample_time, amplitude)
+    return _simulate(problem, [((k.k4, k.k5, k.k6), 0)], horizon, sample_time, amplitude)
 
 
 def simulate_multistage(problem: TuningProblem, stage_params) -> StepResponseRecord:
     """Step simulation switching controller parameters at given samples.
 
-    The incremental control law carries u(t-1) and the error history across
-    each switch, so the handover is bumpless. ``stage_params`` is a list of
-    (params, switch_sample) with the first switch at 0.
+    The incremental control law carries its integrator and the error history
+    across each switch, so the handover is bumpless. ``stage_params`` is a
+    list of (params, switch_sample) with the first switch at 0.
     """
     stages = [(tuple(float(v) for v in ks), int(s)) for ks, s in stage_params]
-    if isinstance(problem.loop, SingleLoopProblem):
-        return _simulate_single(
-            problem.loop, stages, problem.horizon, problem.sample_time, problem.setpoint
-        )
-    return _simulate_cascade(
-        problem.loop, stages, problem.horizon, problem.sample_time, problem.setpoint
-    )
+    return _simulate(problem.loop, stages, problem.horizon, problem.sample_time, problem.setpoint)
 
 
 def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
@@ -280,24 +287,18 @@ def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
     return simulate_multistage(problem, [(params, 0)])
 
 
-def _iae_term(record: StepResponseRecord, horizon: int) -> float:
-    if record.stable:
-        return record.iae
-    t = record.diverged_at if record.diverged_at is not None else 0
-    return DIVERGENCE_SENTINEL * (1.0 + (horizon - t) / horizon)
-
-
 def tuning_objective(problem: TuningProblem) -> CountingObjective:
     """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters."""
     rho = problem.weight
-    single = isinstance(problem.loop, SingleLoopProblem)
-    var_fn = cpa_objective(problem.loop) if single else cascade_objective(problem.loop)
+    n, sp = problem.horizon, problem.setpoint
+    kernel = _StepKernel(problem.loop)
+    var_fn = cpa_objective(problem.loop) if kernel.single else cascade_objective(problem.loop)
 
     def fn(k: np.ndarray) -> float:
-        record = simulate_step(problem, k)
-        iae = _iae_term(record, problem.horizon)
-        if iae >= DIVERGENCE_SENTINEL:
-            return iae
+        y, diverged_at = _step_response(kernel, [(k, 0)], n, sp)
+        if diverged_at is not None:
+            return DIVERGENCE_SENTINEL * (1.0 + (n - diverged_at) / n)
+        iae = float(np.abs(sp - y).sum())    # _finish_record's sum, so J == record.iae
         if rho == 0.0:
             return iae
         var = var_fn(k)
@@ -322,8 +323,7 @@ def tune(
         raise ValueError("weight rho must be >= 0")
 
     single = isinstance(problem.loop, SingleLoopProblem)
-    var_fn = cpa_objective(problem.loop) if single else cascade_objective(problem.loop)
-
+    var_fn = (cpa_objective if single else cascade_objective)(problem.loop)
     rows = []
     for rho in rhos:
         sub = replace(problem, weight=float(rho))

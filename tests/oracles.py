@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the package's truncated-series kernels:
 operators are materialized as dense lower-triangular Toeplitz matrices and
-solved with generic linear algebra, and the step-response loop is re-derived
-with its own state bookkeeping. Agreement between these oracles and the
-package is the evidence the tests assert.
+solved with generic linear algebra, and the step-response loops are
+re-derived sample by sample with their own state bookkeeping. Agreement
+between these oracles and the package is the evidence the tests assert.
 """
 
 from __future__ import annotations
@@ -114,3 +114,62 @@ def step_loop_single(problem, k, horizon, amplitude=1.0):
                 du += km * e_hist[t - m]
         u[t] = (u[t - 1] if t >= 1 else 0.0) + du
     return y, np.abs(e_hist).sum()
+
+
+def _gains_at(stages, t):
+    """Gains of the last stage whose switch sample is <= t."""
+    return [k for k, s in stages if s <= t][-1]
+
+
+def step_loop_multistage(problem, stages, horizon, amplitude=1.0):
+    """Independent single-loop step simulation with per-stage gains.
+
+    ``stages`` is [(k, switch), ...] with the first switch at 0. The
+    increment at t uses the gains in force at t on the stored error history,
+    so u and the errors carry across every switch.
+    """
+    num = np.asarray(problem.process.num)
+    den = np.asarray(problem.process.den)
+    d = problem.process.delay
+    y = np.zeros(horizon)
+    u = np.zeros(horizon)
+    e_hist = np.zeros(horizon)
+    for t in range(horizon):
+        y[t] = sum(b * u[t - d - j] for j, b in enumerate(num) if t - d - j >= 0) - sum(
+            a * y[t - i] for i, a in enumerate(den[1:], start=1) if t - i >= 0
+        )
+        e_hist[t] = amplitude - y[t]
+        k = _gains_at(stages, t)
+        du = sum(km * e_hist[t - m] for m, km in enumerate(k) if t - m >= 0)
+        u[t] = (u[t - 1] if t >= 1 else 0.0) + du
+    return y, np.abs(e_hist).sum()
+
+
+def step_loop_cascade(problem, stages, horizon, amplitude=1.0):
+    """Independent noise-free cascade step simulation with per-stage gains.
+
+    Returns the outer output, its IAE and the inner output. The PI primary's
+    integrator is kept as the full sum of its increments over the stored
+    error history, u(t) = k6 (v(t) - y2(t)), each increment and k6 taken
+    from the stage in force at its own sample.
+    """
+    g1, g2 = problem.outer, problem.inner
+    y1 = np.zeros(horizon)
+    y2 = np.zeros(horizon)
+    u = np.zeros(horizon)
+    dv = np.zeros(horizon)
+    e_hist = np.zeros(horizon)
+
+    def plant(tf, inp, out, t):
+        return sum(
+            b * inp[t - tf.delay - j] for j, b in enumerate(tf.num) if t - tf.delay - j >= 0
+        ) - sum(a * out[t - i] for i, a in enumerate(tf.den[1:], start=1) if t - i >= 0)
+
+    for t in range(horizon):
+        y2[t] = plant(g2, u, y2, t)
+        y1[t] = plant(g1, y2, y1, t)
+        e_hist[t] = amplitude - y1[t]
+        k4, k5, k6 = _gains_at(stages, t)
+        dv[t] = k4 * e_hist[t] + (k5 * e_hist[t - 1] if t >= 1 else 0.0)
+        u[t] = k6 * (dv[: t + 1].sum() - y2[t])
+    return y1, np.abs(e_hist).sum(), y2

@@ -1,6 +1,9 @@
 import json
 
-from pidmov.cli import main
+import pytest
+
+from pidmov import CascadeParams, cascade_impulse
+from pidmov.cli import _parse_loop, main
 
 BENCH1 = {
     "process": {"num": [0.2], "den": [1.0, -0.8], "delay": 5},
@@ -63,6 +66,22 @@ def test_assess_cascade_by_file_shape(tmp_path, capsys):
     payload = json.loads((tmp_path / "immersion_assess.json").read_text())
     assert payload["kind"] == "cascade"
     assert min(r["fitness"] for r in payload["per_run"]) <= 4.8117e-4 * 1.001
+
+
+def test_assess_validate_independent_cascade(tmp_path):
+    # the analytic side of an independent-shock check has no cross term
+    doc = {**CASCADE, "mc": {"mode": "independent", "samples": 200000, "seed": 1}}
+    path = write(tmp_path, doc, "immersion.json")
+    code = main(["assess", str(path), "--runs", "2", "--validate", "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "immersion_assess.json").read_text())
+    v = payload["validation"]
+    assert v["mode"] == "independent"
+    loop = _parse_loop(doc)
+    phi1, phi2 = cascade_impulse(loop, CascadeParams(*payload["params"]["mean"]))
+    assert v["analytic"] == pytest.approx(
+        phi1.sum_of_squares() * 5e-5 + phi2.sum_of_squares() * 5e-4, rel=1e-12)
+    assert v["relative_error"] <= 0.02
 
 
 def test_assess_history_export(tmp_path):
@@ -186,16 +205,18 @@ def test_validate_matches_analytic(tmp_path, capsys):
 
 
 def test_validate_mode_overrides_problem_file(tmp_path, capsys):
-    # the problem file leaves the mode at its fully-correlated default; the
-    # exit code is not checked, since the analytic side is the
-    # fully-correlated variance whatever the mode
+    # the problem file leaves the mode at its fully-correlated default; with
+    # independent shocks the analytic side drops the cross term,
+    # phi1'phi1 s1^2 + phi2'phi2 s2^2 = 5.108e-4 here (6.097e-4 with it)
     path = write(tmp_path, CASCADE, "immersion.json")
-    main(["validate", str(path), "--params", "2.7638,-2.6554,-0.8436",
-          "--samples", "20000", "--mode", "independent", "--out", str(tmp_path)])
+    code = main(["validate", str(path), "--params", "2.7638,-2.6554,-0.8436",
+                 "--samples", "20000", "--mode", "independent", "--out", str(tmp_path)])
     assert "mode independent" in capsys.readouterr().out
     payload = json.loads((tmp_path / "immersion_validate.json").read_text())
     assert payload["mode"] == "independent"
     assert payload["samples"] == 20000
+    assert payload["analytic"] == pytest.approx(5.108e-4, rel=1e-3)
+    assert code == 0
 
 
 def test_validate_unstable_params_fail(tmp_path, capsys):
