@@ -18,7 +18,7 @@ from .cascade import (
     cascade_objective,
     cascade_variance,
 )
-from .lti import DiscreteTransferFunction, ImpulseSeq, series_mul, series_solve
+from .lti import DiscreteTransferFunction, ImpulseSeq
 from .mc import McConfig, McEstimate, McStabilityError, mc_variance_cascade, mc_variance_single
 from .reports import AssessmentReport, SuiteReport, TuningReport
 from .singleloop import (
@@ -28,6 +28,7 @@ from .singleloop import (
     SingleLoopProblem,
     assess_single,
     closed_loop_impulse,
+    closed_loop_radius,
     cpa_objective,
     mv_benchmark,
     output_variance,
@@ -75,6 +76,7 @@ __all__ = [
     "cascade_objective",
     "cascade_variance",
     "closed_loop_impulse",
+    "closed_loop_radius",
     "cpa_objective",
     "load_benchmark",
     "load_case_study",
@@ -84,8 +86,6 @@ __all__ = [
     "mv_benchmark",
     "output_variance",
     "run_benchmark_suite",
-    "series_mul",
-    "series_solve",
     "simulate_multistage",
     "simulate_step",
     "simulate_step_cascade",

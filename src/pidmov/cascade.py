@@ -3,35 +3,26 @@
 The primary (outer) controller is PI, (k4 + k5 q^-1)/(1 - q^-1); the
 secondary (inner) controller is a pure gain k6. With both setpoints at zero
 and unit shocks on the two disturbances, the outer output decomposes as
-phi1*a1(0) + phi2*a2(0) where, in the truncated series algebra,
+phi1*a1(0) + phi2*a2(0), where
 
-    A    = I + k6*Im2
-    W    = k4*k6*Im1*A^-1*S2 + k5*k6*Im1*A^-1*F*S2
-    phi1 = (I + W)^-1 nbar1
-    phi2 = (I + W)^-1 Im1 A^-1 nbar2
+    A_cl = (1 - q^-1) a1 (a2 + k6 q^-d2 b2) + k6 q^-(d1+d2) b1 b2 (k4 + k5 q^-1)
+    phi1 = (1/A_cl) [(1 - q^-1) a1 (a2 + k6 q^-d2 b2) n1]
+    phi2 = (1/A_cl) [(1 - q^-1) a2 q^-d1 b1 n2]
 
-Im1/Im2 are the process impulse-response operators, S2 the inner step
-response operator (the PI integrator folds into the inner process path).
-Both dead times are >= 1, so (I + W) and A are unit lower triangular.
+with n1, n2 the disturbance impulse responses truncated to p samples. The
+closed-loop polynomial and the forcings come from the kernel the single
+loop uses (``singleloop._LoopKernel``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (
-    DiscreteTransferFunction,
-    ImpulseSeq,
-    conv_trunc,
-    identity_series,
-    shift_trunc,
-    solve_trunc,
-)
+from .lti import DiscreteTransferFunction, ImpulseSeq
 from .reports import AssessmentReport
-from .singleloop import CountingObjective, _assess, guarded_variance
+from .singleloop import CountingObjective, _assess, _LoopKernel, guarded_variance
 from .tlbo import TlboConfig
 
 
@@ -73,33 +64,12 @@ class CascadeProblem:
         object.__setattr__(self, "truncation", int(p))
 
 
-def _cascade_series(problem: CascadeProblem):
-    p = problem.truncation
-    g1 = problem.outer.impulse_response(p - 1).coeffs
-    g2 = problem.inner.impulse_response(p - 1).coeffs
-    s2 = np.cumsum(g2)
-    n1 = problem.outer_disturbance.impulse_response(p - 1).coeffs
-    n2 = problem.inner_disturbance.impulse_response(p - 1).coeffs
-    return identity_series(p), g1, g2, s2, n1, n2
-
-
-def _phis(e0, g1, g2, s2, n1, n2, k):
-    k4, k5, k6 = k
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_series = e0 + k6 * g2
-        inner_step = solve_trunc(a_series, s2)        # A^-1 S2 column
-        w = conv_trunc(g1, k4 * k6 * inner_step + k5 * k6 * shift_trunc(inner_step, 1))
-        iw = e0 + w
-        phi1 = solve_trunc(iw, n1)
-        phi2 = solve_trunc(iw, conv_trunc(g1, solve_trunc(a_series, n2)))
-    return phi1, phi2
-
-
 def cascade_impulse(
     problem: CascadeProblem, k: CascadeParams
 ) -> tuple[ImpulseSeq, ImpulseSeq]:
     """Outer-output responses to unit shocks on the two disturbances."""
-    phi1, phi2 = _phis(*_cascade_series(problem), k.as_array())
+    kernel = _LoopKernel(problem)
+    phi1, phi2 = kernel.shock(k.as_array(), kernel.forcing(np.eye(2)))
     return ImpulseSeq(phi1, kind="impulse"), ImpulseSeq(phi2, kind="impulse")
 
 
@@ -125,15 +95,13 @@ def cascade_variance(
 
 def cascade_objective(problem: CascadeProblem) -> CountingObjective:
     """Outer-output variance as a function of (k4, k5, k6)."""
-    series = _cascade_series(problem)
-    s1 = math.sqrt(problem.noise_variances[0])
-    s2 = math.sqrt(problem.noise_variances[1])
+    kernel = _LoopKernel(problem)
+    # the fully correlated cross term makes the variance one sum of squares,
+    # that of s1 phi1 + s2 phi2
+    forcing = kernel.forcing(np.sqrt(problem.noise_variances))
 
     def fn(k: np.ndarray) -> float:
-        phi1, phi2 = _phis(*series, k)
-        # the fully correlated cross term makes the variance one sum of squares
-        with np.errstate(over="ignore", invalid="ignore"):
-            return guarded_variance(s1 * phi1 + s2 * phi2, 1.0)
+        return guarded_variance(kernel.shock(k, forcing), 1.0)
 
     return CountingObjective(fn)
 

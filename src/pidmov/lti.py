@@ -1,9 +1,7 @@
 """Discrete-time LTI primitives in the backward-shift operator q^-1.
 
-Transfer functions are rational in q^-1 with a separate integer dead time.
-Finite response sequences double as lower-triangular Toeplitz operators
-represented by their first column, so operator products are truncated
-convolutions and operator inverses are forward substitutions.
+Transfer functions are rational in q^-1 with a separate integer dead time;
+their truncated impulse and step responses are finite response sequences.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ class DiscreteTransferFunction:
 
 @dataclass(frozen=True)
 class ImpulseSeq:
-    """Finite response sequence; also the first column of a lower-triangular
-    Toeplitz operator."""
+    """Finite, read-only response sequence."""
 
     coeffs: np.ndarray
     kind: str = "impulse"
@@ -87,55 +84,3 @@ class ImpulseSeq:
 
     def sum_of_squares(self) -> float:
         return float(self.coeffs @ self.coeffs)
-
-
-def series_mul(a: ImpulseSeq, b: ImpulseSeq) -> ImpulseSeq:
-    """Truncated convolution: the product of two Toeplitz operators,
-    or an operator applied to a response vector."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return ImpulseSeq(conv_trunc(a.coeffs, b.coeffs), kind="impulse")
-
-
-def series_solve(denom: ImpulseSeq, rhs: ImpulseSeq) -> ImpulseSeq:
-    """Solve series_mul(denom, x) = rhs by forward substitution.
-
-    Requires denom to have unit leading coefficient (unit-lower-triangular
-    operator), which makes the solve exact in O(n^2).
-    """
-    if len(denom) != len(rhs):
-        raise ValueError(f"length mismatch: {len(denom)} vs {len(rhs)}")
-    if denom.coeffs[0] != 1.0:
-        raise ValueError(
-            f"leading coefficient must be 1 for a unit-triangular solve, "
-            f"got {denom.coeffs[0]}"
-        )
-    return ImpulseSeq(solve_trunc(denom.coeffs, rhs.coeffs), kind="impulse")
-
-
-# Array kernels used on hot paths; the ImpulseSeq wrappers above are the
-# public faces of the same operations.
-
-def conv_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)[: a.size]
-
-
-def solve_trunc(denom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # lfilter with b=[1] is exactly the forward substitution x(k) =
-    # rhs(k) - sum_{i>=1} denom(i) x(k-i).
-    return lfilter([1.0], denom, rhs)
-
-
-def shift_trunc(a: np.ndarray, m: int = 1) -> np.ndarray:
-    """Apply the one-step-delay operator m times (truncated)."""
-    if m == 0:
-        return a.copy()
-    out = np.zeros_like(a)
-    out[m:] = a[:-m]
-    return out
-
-
-def identity_series(n: int) -> np.ndarray:
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    return e0

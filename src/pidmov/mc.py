@@ -2,10 +2,10 @@
 
 The oracle drives the closed loop sample-by-sample with white Gaussian
 noise, keeping the controller and every transfer function as separate
-difference equations. The estimator shares nothing with the
-truncated-series route, so agreement between the two is evidence, not
-tautology (the series response is consulted only to refuse loops whose
-shock response does not decay before a long simulation is wasted on them).
+difference equations. The estimator shares nothing with the analytic
+closed-loop kernel, so agreement between the two is evidence, not
+tautology (the analytic shock response is consulted only to refuse loops
+whose response does not decay before a long simulation is wasted on them).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import lfilter
 
-from .cascade import CascadeParams, CascadeProblem, _cascade_series, _phis
+from .cascade import CascadeParams, CascadeProblem, cascade_impulse
 from .lti import DiscreteTransferFunction
-from .singleloop import ReducedPidParams, SingleLoopProblem, _loop_series, _response
+from .singleloop import ReducedPidParams, SingleLoopProblem, closed_loop_impulse
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -110,7 +110,7 @@ def mc_variance_single(
 ) -> McEstimate:
     """Empirical output variance of the stochastic single loop."""
     probe = replace(problem, truncation=16 * problem.process.delay)
-    _check_decay([_response(*_loop_series(probe), k.as_array())], "single loop")
+    _check_decay([closed_loop_impulse(probe, k).coeffs], "single loop")
 
     n = cfg.samples
     rng = np.random.default_rng(cfg.seed)
@@ -159,7 +159,7 @@ def mc_variance_cascade(
     exactly; in independent mode the cross contribution averages out.
     """
     probe = replace(problem, truncation=16 * (problem.outer.delay + problem.inner.delay))
-    _check_decay(_phis(*_cascade_series(probe), k.as_array()), "cascade")
+    _check_decay([phi.coeffs for phi in cascade_impulse(probe, k)], "cascade")
 
     n = cfg.samples
     s1 = math.sqrt(problem.noise_variances[0])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -86,6 +87,7 @@ class AssessmentReport:
     optimizer_config: object
     mv: float | None = None        # single loop only
     eta: float | None = None       # mv / mov
+    closed_loop_radius: float | None = None   # at params_mean
     assumptions: list[str] = field(default_factory=list)
     validation: dict | None = None
     run_histories: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -104,6 +106,7 @@ class AssessmentReport:
                 "mean": self.params_mean.tolist(),
                 "std": self.params_std.tolist(),
             },
+            "closed_loop_radius": self.closed_loop_radius,
             "runs": self.runs,
             "evaluations": self.evaluations,
             "mean_elapsed_s": self.mean_elapsed,
@@ -144,11 +147,13 @@ class TuningRow:
     overshoot_pct: float
     settling_time_s: float
     optimizer_fitness: float
+    closed_loop_radius: float
 
     def to_dict(self) -> dict:
         return {
             "rho": self.rho,
             "params": self.params,
+            "closed_loop_radius": self.closed_loop_radius,
             "sigma2": self.sigma2,
             "iae": self.iae,
             "overshoot_pct": self.overshoot_pct,
@@ -287,10 +292,22 @@ class SuiteReport:
         return out
 
 
+def _strict(v):
+    """JSON has no inf or NaN: a non-finite float is written as null."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    return v
+
+
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

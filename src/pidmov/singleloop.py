@@ -1,15 +1,19 @@
-"""Achievable-performance math for a PID-restricted single loop.
+"""Achievable-performance math for a PID-restricted single loop, and the
+closed-loop polynomial kernel that the single loop and the PI/P cascade share.
 
-With the setpoint at zero, the closed-loop response to a unit disturbance
-shock solves
+For fixed gains every loop here is LTI with the characteristic polynomial
 
-    (I + k1*St + k2*F*St + k3*F^2*St) phi = nbar
+    A_cl = (1 - q^-1) a + q^-d b (k1 + k2 q^-1 + k3 q^-2)
 
-in the truncated series algebra, where St is the Toeplitz operator built
-from the process step response (the controller's built-in integrator folds
-the 1/(1-q^-1) factor into the process side), F is the one-step delay and
-nbar the disturbance impulse response. The truncated output variance
-phi'phi * sigma_a^2 is the objective the optimizer drives down.
+in the backward shift q^-1. With the setpoint at zero, the output response
+to a unit disturbance shock is
+
+    phi = (1/A_cl) [(1 - q^-1) a nbar]
+
+with nbar the disturbance impulse response, so its first p samples are one
+``lfilter`` call over a forcing that is fixed per problem. The truncated
+output variance phi'phi * sigma_a^2 is the objective the optimizer drives
+down.
 """
 
 from __future__ import annotations
@@ -18,14 +22,9 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.signal import lfilter
 
-from .lti import (
-    DiscreteTransferFunction,
-    ImpulseSeq,
-    identity_series,
-    shift_trunc,
-    solve_trunc,
-)
+from .lti import DiscreteTransferFunction, ImpulseSeq
 from .reports import AssessmentReport, collect_run_stats
 from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, minimize
 
@@ -88,24 +87,91 @@ class SingleLoopProblem:
         object.__setattr__(self, "truncation", int(p))
 
 
-def _loop_series(problem: SingleLoopProblem):
-    """Precompute the step-response columns and disturbance response."""
-    p = problem.truncation
-    st = problem.process.step_response(p - 1).coeffs
-    nbar = problem.disturbance.impulse_response(p - 1).coeffs
-    return (
-        identity_series(p),
-        st,
-        shift_trunc(st, 1),
-        shift_trunc(st, 2),
-        nbar,
-    )
+def _delayed(tf) -> np.ndarray:
+    """q^-d b of a transfer function, as one coefficient vector."""
+    return np.concatenate([np.zeros(tf.delay), tf.num])
 
 
-def _response(e0, st0, st1, st2, nbar, k) -> np.ndarray:
-    system = e0 + k[0] * st0 + k[1] * st1 + k[2] * st2
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_trunc(system, nbar)
+class _LoopKernel:
+    """Closed-loop polynomials in q^-1 of a single loop or a PI/P cascade.
+
+    The controller integrates, dI = P e with e = r - y, and drives
+    u = kappa (I - w): P = k1 + k2 q^-1 + k3 q^-2, kappa = 1 and w = 0 in the
+    single loop; P = k4 + k5 q^-1, kappa = k6 and w = y2 (the inner output)
+    in the cascade. For fixed gains
+
+        A_cl = (1 - q^-1) (base + kappa inner) + kappa path P
+
+    with base = a, inner = 0, path = q^-d b in the single loop and
+    base = a1 a2, inner = a1 q^-d2 b2, path = q^-(d1+d2) b1 b2 in the
+    cascade. The response to shock j is
+
+        phi_j = (1/A_cl) [(1 - q^-1) (c_j + kappa g_j) n_j]
+
+    with n_j the disturbance impulse response truncated to p samples,
+    c = base and g = inner for the disturbance on the (outer) output, and
+    c = a2 q^-d1 b1, g = 0 for the cascade's inner disturbance, where
+    a2 + k6 q^-d2 b2 cancels. The forcing is affine in kappa, so it is built
+    once and the gains only change A_cl. The forcing carries the truncated
+    n_j rather than folding n_j's denominator into A_cl: where a disturbance
+    pole equals a process pole, that product has a repeated root and loses
+    accuracy.
+    """
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.single = isinstance(loop, SingleLoopProblem)
+        if self.single:
+            self.path = _delayed(loop.process)
+            base, inner = np.array(loop.process.den), np.zeros(1)
+        else:
+            qb2 = _delayed(loop.inner)
+            self.path = np.convolve(_delayed(loop.outer), qb2)
+            base = np.convolve(loop.outer.den, loop.inner.den)
+            inner = np.convolve(loop.outer.den, qb2)
+        n = max(base.size, inner.size)
+        self.base = np.pad(base, (0, n - base.size))
+        self.inner = np.pad(inner, (0, n - inner.size))
+        # A_cl = a0 + kappa (a1 + fb P): the differenced base and inner, and
+        # the path delayed by each power of q^-1 in P
+        m = 3 if self.single else 2
+        size = max(n + 1, self.path.size + m - 1)
+        self._a0, self._a1 = (np.diff(np.pad(v, (0, size - n)), prepend=0.0)
+                              for v in (self.base, self.inner))
+        self._fb = np.column_stack(
+            [np.pad(self.path, (i, size - self.path.size - i)) for i in range(m)])
+
+    def closed_loop(self, ks):
+        """kappa, P and A_cl of one gain set."""
+        ks = np.asarray(ks, dtype=float)
+        kappa, p = (1.0, ks) if self.single else (ks[2], ks[:2])
+        return kappa, p, self._a0 + kappa * (self._a1 + self._fb @ p)
+
+    def forcing(self, weights) -> tuple[np.ndarray, np.ndarray]:
+        """f0 and f1 with sum_j weights[j] phi_j = (1/A_cl)(f0 + kappa f1);
+        with ``weights`` a matrix, one pair of rows per row of it."""
+        loop, p = self.loop, self.loop.truncation
+
+        def row(poly, tf):
+            n = tf.impulse_response(p - 1).coeffs
+            return np.diff(np.convolve(poly, n)[:p], prepend=0.0)
+
+        if self.single:
+            f0, f1 = row(self.base, loop.disturbance)[None], np.zeros((1, p))
+        else:
+            c2 = np.convolve(loop.inner.den, _delayed(loop.outer))
+            f0 = np.array([row(self.base, loop.outer_disturbance),
+                           row(c2, loop.inner_disturbance)])
+            f1 = np.array([row(self.inner, loop.outer_disturbance), np.zeros(p)])
+        weights = np.asarray(weights, dtype=float)
+        return weights @ f0, weights @ f1
+
+    def shock(self, ks, forcing) -> np.ndarray:
+        """The shock response of ``forcing`` (from ``forcing()``) under one
+        gain set, over the truncation."""
+        kappa, _, a_cl = self.closed_loop(ks)
+        f0, f1 = forcing
+        return lfilter([1.0], a_cl, f0 + kappa * f1)
 
 
 def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> ImpulseSeq:
@@ -114,8 +180,15 @@ def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> Impu
     phi(0) always equals the leading disturbance coefficient: feedback cannot
     act before the dead time elapses.
     """
-    phi = _response(*_loop_series(problem), k.as_array())
-    return ImpulseSeq(phi, kind="impulse")
+    kernel = _LoopKernel(problem)
+    return ImpulseSeq(kernel.shock(k.as_array(), kernel.forcing([1.0])), kind="impulse")
+
+
+def closed_loop_radius(loop, params) -> float:
+    """Largest |root| of the closed-loop polynomial A_cl of a single loop or
+    a cascade under the given gains; the loop is stable below 1."""
+    a_cl = _LoopKernel(loop).closed_loop(params)[2]
+    return float(np.abs(np.roots(a_cl)).max(initial=0.0))
 
 
 def output_variance(phi: ImpulseSeq, noise_variance: float) -> float:
@@ -152,11 +225,12 @@ class CountingObjective:
 
 def cpa_objective(problem: SingleLoopProblem) -> CountingObjective:
     """Truncated output variance as a function of (k1, k2, k3)."""
-    e0, st0, st1, st2, nbar = _loop_series(problem)
+    kernel = _LoopKernel(problem)
+    forcing = kernel.forcing([1.0])
     sigma2 = problem.noise_variance
 
     def fn(k: np.ndarray) -> float:
-        return guarded_variance(_response(e0, st0, st1, st2, nbar, k), sigma2)
+        return guarded_variance(kernel.shock(k, forcing), sigma2)
 
     return CountingObjective(fn)
 
@@ -214,6 +288,7 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
         mov_best=stats.best,
         params_mean=stats.params_mean,
         params_std=stats.params_std,
+        closed_loop_radius=closed_loop_radius(problem, stats.params_mean),
         mv=mv,
         eta=None if mv is None else (mv / stats.mean if stats.mean > 0 else float("nan")),
         runs=runs,

@@ -26,6 +26,8 @@ from .singleloop import (
     CountingObjective,
     ReducedPidParams,
     SingleLoopProblem,
+    _LoopKernel,
+    closed_loop_radius,
     cpa_objective,
     seeded_runs,
     summarize_problem,
@@ -139,56 +141,6 @@ def _stage_bounds(stage_params, horizon) -> list[tuple[int, int]]:
     return list(zip(switches, switches[1:] + [horizon]))
 
 
-class _StepKernel:
-    """Closed-loop polynomials in q^-1 of the noise-free step loop.
-
-    The controller integrates, dI = P e with e = r - y, and drives
-    u = kappa (I - w): P = k1 + k2 q^-1 + k3 q^-2, kappa = 1 and w = 0 in the
-    single loop; P = k4 + k5 q^-1, kappa = k6 and w = y2 (the inner output)
-    in the cascade. For fixed gains
-
-        A_cl = (1 - q^-1) (base + kappa inner) + kappa path P
-        A_cl e = (base + kappa inner) (1 - q^-1) r,   A_cl y2 = inner kappa P r
-
-    with base = a, inner = 0, path = q^-d b in the single loop and
-    base = a1 a2, inner = a1 q^-d2 b2, path = q^-(d1+d2) b1 b2 in the
-    cascade. The error is filtered rather than y: its forcing is a finite
-    pulse, so the integral action drives it to exactly zero instead of to
-    the rounding in the DC gain of path / A_cl.
-    """
-
-    def __init__(self, loop: SingleLoopProblem | CascadeProblem):
-        self.single = isinstance(loop, SingleLoopProblem)
-        if self.single:
-            self.path = _delayed(loop.process)
-            base, inner = np.array(loop.process.den), np.zeros(1)
-        else:
-            qb2 = _delayed(loop.inner)
-            self.path = np.convolve(_delayed(loop.outer), qb2)
-            base = np.convolve(loop.outer.den, loop.inner.den)
-            inner = np.convolve(loop.outer.den, qb2)
-        n = max(base.size, inner.size)
-        self.base = np.pad(base, (0, n - base.size))
-        self.inner = np.pad(inner, (0, n - inner.size))
-
-    def closed_loop(self, ks):
-        """kappa, P, base + kappa inner and A_cl of one gain set."""
-        ks = np.asarray(ks, dtype=float)
-        kappa, p = (1.0, ks) if self.single else (ks[2], ks[:2])
-        lead = self.base + kappa * self.inner
-        fb = kappa * np.convolve(self.path, p)
-        a_cl = np.zeros(max(lead.size + 1, fb.size))
-        a_cl[: lead.size] = lead
-        a_cl[1 : lead.size + 1] -= lead
-        a_cl[: fb.size] += fb
-        return kappa, p, lead, a_cl
-
-
-def _delayed(tf) -> np.ndarray:
-    """q^-d b of a transfer function, as one coefficient vector."""
-    return np.concatenate([np.zeros(tf.delay), tf.num])
-
-
 def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
     """1/A_cl applied to x, continuing from the earlier outputs ``past``."""
     if not past.size:
@@ -196,10 +148,19 @@ def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
     return lfilter([1.0], a_cl, x, zi=lfiltic([1.0], a_cl, past[::-1]))[0]
 
 
-def _step_response(kernel: _StepKernel, stages, horizon: int, amplitude: float):
+def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
     """Outer output of the step loop, and the first sample where an output
     left its divergence limit or was not finite (None if none); the output
     after that sample is zero.
+
+    With the kernel's polynomials, the tracking error and the cascade's
+    inner output solve
+
+        A_cl e = (base + kappa inner) (1 - q^-1) r,   A_cl y2 = inner kappa P r
+
+    The error is filtered rather than y: its forcing is a finite pulse, so
+    the integral action drives it to exactly zero instead of to the
+    rounding in the DC gain of path / A_cl.
 
     ``stages`` lists (gains, start) with the first start at 0 and no two
     consecutive gain sets equal. At a switch s the control before s, written
@@ -212,7 +173,9 @@ def _step_response(kernel: _StepKernel, stages, horizon: int, amplitude: float):
     e, y2, d_integ, kappas = np.zeros((4, horizon))
     for i, (ks, s) in enumerate(stages):
         stop = stages[i + 1][1] if i + 1 < len(stages) else horizon
-        kappa, p, lead, a_cl = kernel.closed_loop(ks)
+        with np.errstate(invalid="ignore"):      # non-finite gains diverge below
+            kappa, p, a_cl = kernel.closed_loop(ks)
+            lead = kernel.base + kappa * kernel.inner
         x = np.zeros(stop)
         x[: lead.size] = amplitude * lead[:stop]
         corr = np.zeros(stop)      # (1 - q^-1) c_u
@@ -247,7 +210,7 @@ def _simulate(loop, stages, horizon, ts, amplitude) -> StepResponseRecord:
     bounds = _stage_bounds(stages, horizon)
     # one filter run per distinct gain set keeps repeated stages bit-exact
     distinct = [st for i, st in enumerate(stages) if i == 0 or st[0] != stages[i - 1][0]]
-    y, diverged_at = _step_response(_StepKernel(loop), distinct, horizon, amplitude)
+    y, diverged_at = _step_response(_LoopKernel(loop), distinct, horizon, amplitude)
     return _finish_record(y, amplitude, horizon, ts, bounds, diverged_at)
 
 
@@ -291,7 +254,7 @@ def tuning_objective(problem: TuningProblem) -> CountingObjective:
     """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters."""
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
-    kernel = _StepKernel(problem.loop)
+    kernel = _LoopKernel(problem.loop)
     var_fn = cpa_objective(problem.loop) if kernel.single else cascade_objective(problem.loop)
 
     def fn(k: np.ndarray) -> float:
@@ -341,6 +304,7 @@ def tune(
                 overshoot_pct=record.overshoot_pct,
                 settling_time_s=record.settling_time_s,
                 optimizer_fitness=best.best_fitness,
+                closed_loop_radius=closed_loop_radius(problem.loop, best.best_point),
             )
         )
 
@@ -356,6 +320,6 @@ def tune(
         runs=runs,
         assumptions=[
             "IAE accumulated per sample of the noise-free step response",
-            "variance term computed from the analytic truncated series",
+            "variance term computed from the analytic truncated shock response",
         ],
     )

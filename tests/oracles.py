@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the package's truncated-series kernels:
-operators are materialized as dense lower-triangular Toeplitz matrices and
-solved with generic linear algebra, and the step-response loops are
-re-derived sample by sample with their own state bookkeeping. Agreement
-between these oracles and the package is the evidence the tests assert.
+Everything here deliberately avoids the package's closed-loop kernel:
+shock responses come from dense lower-triangular Toeplitz matrices solved
+with generic linear algebra, pole radii from characteristic polynomials
+assembled here, and the step-response loops are re-derived sample by
+sample with their own state bookkeeping. Agreement between these oracles
+and the package is the evidence the tests assert.
 """
 
 from __future__ import annotations
@@ -84,6 +85,30 @@ def dense_cascade(problem, k) -> tuple[np.ndarray, np.ndarray]:
     sol1 = np.linalg.solve(block, np.concatenate([n1, np.zeros(p)]))
     sol2 = np.linalg.solve(block, np.concatenate([np.zeros(p), n2]))
     return sol1[:p], sol2[:p]
+
+
+def _delayed(tf):
+    return np.concatenate([np.zeros(tf.delay), tf.num])
+
+
+def pole_radius(loop, k) -> float:
+    """Largest closed-loop pole magnitude, from the characteristic polynomial
+    (1 - q^-1) a + q^-d b K, or for the cascade
+    (1 - q^-1) a1 (a2 + k6 q^-d2 b2) + k6 q^-(d1+d2) b1 b2 (k4 + k5 q^-1)."""
+    def add(p, q):
+        n = max(p.size, q.size)
+        return np.pad(p, (0, n - p.size)) + np.pad(q, (0, n - q.size))
+
+    diff = np.array([1.0, -1.0])
+    if hasattr(loop, "process"):
+        poly = add(np.convolve(diff, loop.process.den), np.convolve(_delayed(loop.process), k))
+    else:
+        k4, k5, k6 = k
+        inner = add(np.array(loop.inner.den), k6 * _delayed(loop.inner))
+        poly = add(np.convolve(np.convolve(diff, loop.outer.den), inner),
+                   k6 * np.convolve(np.convolve(_delayed(loop.outer), _delayed(loop.inner)),
+                                    [k4, k5]))
+    return float(np.max(np.abs(np.roots(poly))))
 
 
 def step_loop_single(problem, k, horizon, amplitude=1.0):

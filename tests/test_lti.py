@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pidmov import DiscreteTransferFunction, ImpulseSeq, series_mul, series_solve
+from pidmov import DiscreteTransferFunction, ImpulseSeq
 
-from oracles import dense_conv, dense_solve, impulse_by_division
+from oracles import impulse_by_division
 
 
 def test_normalization_scales_all_coefficients():
@@ -89,71 +89,6 @@ def test_step_is_running_sum_of_impulse():
 def test_step_of_integrator_counts_up():
     tf = DiscreteTransferFunction(num=(1.0,), den=(1.0, -1.0))
     assert tf.step_response(3).coeffs == pytest.approx([1, 2, 3, 4])
-
-
-def test_series_mul_shift_and_identity():
-    shift = ImpulseSeq(np.array([0.0, 1.0, 0.0, 0.0]))
-    b = ImpulseSeq(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert series_mul(shift, b).coeffs == pytest.approx([0, 1, 2, 3])
-    ident = ImpulseSeq(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert series_mul(ident, b).coeffs == pytest.approx(b.coeffs)
-
-
-def test_series_mul_matches_dense_toeplitz_product():
-    # the 3x3 case by hand, then random sizes up to 16
-    a = ImpulseSeq(np.array([1.0, 1.0, 1.0]))
-    assert series_mul(a, a).coeffs == pytest.approx([1, 2, 3])
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        n = int(rng.integers(1, 17))
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        got = series_mul(ImpulseSeq(x), ImpulseSeq(y)).coeffs
-        want = dense_conv(x, y)
-        assert got == pytest.approx(want, abs=1e-12)
-        # commutativity
-        assert got == pytest.approx(series_mul(ImpulseSeq(y), ImpulseSeq(x)).coeffs)
-
-
-def test_series_mul_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="length mismatch"):
-        series_mul(ImpulseSeq(np.ones(3)), ImpulseSeq(np.ones(4)))
-
-
-def test_series_solve_identity_and_geometric():
-    ident = ImpulseSeq(np.array([1.0, 0.0, 0.0]))
-    rhs = ImpulseSeq(np.array([3.0, -1.0, 2.0]))
-    assert series_solve(ident, rhs).coeffs == pytest.approx(rhs.coeffs)
-    denom = ImpulseSeq(np.array([1.0, -0.5, 0.0]))
-    one = ImpulseSeq(np.array([1.0, 0.0, 0.0]))
-    assert series_solve(denom, one).coeffs == pytest.approx([1, 0.5, 0.25])
-
-
-def test_series_solve_matches_dense_inverse():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        n = 8
-        denom = np.concatenate(([1.0], rng.standard_normal(n - 1)))
-        rhs = rng.standard_normal(n)
-        got = series_solve(ImpulseSeq(denom), ImpulseSeq(rhs)).coeffs
-        want = dense_solve(denom, rhs)
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_series_solve_requires_unit_leading_coefficient():
-    with pytest.raises(ValueError, match="leading coefficient"):
-        series_solve(ImpulseSeq(np.array([2.0, 1.0])), ImpulseSeq(np.array([1.0, 0.0])))
-
-
-def test_solve_mul_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 20))
-        denom = np.concatenate(([1.0], rng.uniform(-0.8, 0.8, n - 1)))
-        rhs = rng.standard_normal(n)
-        x = series_solve(ImpulseSeq(denom), ImpulseSeq(rhs))
-        back = series_mul(ImpulseSeq(denom), x)
-        assert back.coeffs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 def test_impulse_seq_is_immutable():

@@ -28,7 +28,7 @@ from pidmov import (
 from pidmov.tlbo import DIVERGENCE_SENTINEL
 from pidmov.tuning import DIVERGENCE_LIMIT_FACTOR
 
-from oracles import step_loop_cascade, step_loop_multistage
+from oracles import pole_radius, step_loop_cascade, step_loop_multistage
 
 CASES = ("air_single", "immersion_cascade")
 PROBLEMS = {name: load_case_study(name) for name in CASES}
@@ -55,30 +55,6 @@ def assert_close(rec, y, iae, rel=1e-12):
     assert abs(rec.iae - iae) <= rel * iae
 
 
-def _delayed(tf):
-    return np.concatenate([np.zeros(tf.delay), tf.num])
-
-
-def closed_loop_radius(loop, k) -> float:
-    """Largest closed-loop pole magnitude, from the characteristic polynomial
-    (1 - q^-1) a + q^-d b K, or for the cascade
-    (1 - q^-1) a1 (a2 + k6 q^-d2 b2) + k6 q^-(d1+d2) b1 b2 (k4 + k5 q^-1)."""
-    def add(p, q):
-        n = max(p.size, q.size)
-        return np.pad(p, (0, n - p.size)) + np.pad(q, (0, n - q.size))
-
-    diff = np.array([1.0, -1.0])
-    if isinstance(loop, SingleLoopProblem):
-        poly = add(np.convolve(diff, loop.process.den), np.convolve(_delayed(loop.process), k))
-    else:
-        k4, k5, k6 = k
-        inner = add(np.array(loop.inner.den), k6 * _delayed(loop.inner))
-        poly = add(np.convolve(np.convolve(diff, loop.outer.den), inner),
-                   k6 * np.convolve(np.convolve(_delayed(loop.outer), _delayed(loop.inner)),
-                                    [k4, k5]))
-    return float(np.max(np.abs(np.roots(poly))))
-
-
 @st.composite
 def gains(draw, name):
     """A published gain set with its PID (or PI and inner P) gains scaled."""
@@ -92,11 +68,11 @@ def gains(draw, name):
 
 
 def stable_gains(name):
-    return gains(name).filter(lambda k: closed_loop_radius(PROBLEMS[name].loop, k) < 0.999)
+    return gains(name).filter(lambda k: pole_radius(PROBLEMS[name].loop, k) < 0.999)
 
 
 def unstable_gains(name):
-    return gains(name).filter(lambda k: closed_loop_radius(PROBLEMS[name].loop, k) > 1.0)
+    return gains(name).filter(lambda k: pole_radius(PROBLEMS[name].loop, k) > 1.0)
 
 
 @pytest.mark.parametrize("name", CASES)
