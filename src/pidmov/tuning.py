@@ -272,6 +272,19 @@ def tuning_objective(problem: TuningProblem) -> CountingObjective:
     return CountingObjective(fn)
 
 
+def _check_settling(radius: float, horizon: int, rho: float) -> None:
+    """Warn when a tuned loop cannot settle within the horizon: at closed-loop
+    radius r its slowest mode needs about ln 0.02 / ln r samples to fall
+    into the 2% band."""
+    if radius >= 1:
+        warnings.warn(f"rho={rho:g}: tuned loop is not stable "
+                      f"(closed-loop radius {radius:.5f})", stacklevel=3)
+    elif radius > 0 and (need := math.log(0.02) / math.log(radius)) > horizon:
+        warnings.warn(f"rho={rho:g}: tuned loop needs ~{need:.0f} samples to settle "
+                      f"within 2% (closed-loop radius {radius:.5f}), more than the "
+                      f"horizon of {horizon} samples", stacklevel=3)
+
+
 def tune(
     problem: TuningProblem,
     cfg: TlboConfig | None = None,
@@ -295,6 +308,8 @@ def tune(
         if best.best_fitness >= DIVERGENCE_SENTINEL:
             raise RuntimeError(f"tuning failed to stabilize the loop at rho={rho}")
         record = simulate_step(sub, best.best_point)
+        radius = closed_loop_radius(problem.loop, best.best_point)
+        _check_settling(radius, problem.horizon, rho)
         rows.append(
             TuningRow(
                 rho=float(rho),
@@ -304,7 +319,7 @@ def tune(
                 overshoot_pct=record.overshoot_pct,
                 settling_time_s=record.settling_time_s,
                 optimizer_fitness=best.best_fitness,
-                closed_loop_radius=closed_loop_radius(problem.loop, best.best_point),
+                closed_loop_radius=radius,
             )
         )
 

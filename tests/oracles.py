@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's closed-loop kernel:
 shock responses come from dense lower-triangular Toeplitz matrices solved
 with generic linear algebra, pole radii from characteristic polynomials
 assembled here, and the step-response loops are re-derived sample by
-sample with their own state bookkeeping. Agreement between these oracles
+sample with their own state bookkeeping. The one-chain Monte-Carlo
+references step the stochastic loops one scalar sample at a time over
+Python lists, the form the package's oracle vectorizes across chains.
+Agreement between these oracles
 and the package is the evidence the tests assert.
 """
 
@@ -198,3 +201,95 @@ def step_loop_cascade(problem, stages, horizon, amplitude=1.0):
         dv[t] = k4 * e_hist[t] + (k5 * e_hist[t - 1] if t >= 1 else 0.0)
         u[t] = k6 * (dv[: t + 1].sum() - y2[t])
     return y1, np.abs(e_hist).sum(), y2
+
+
+def mc_chain_single(problem, k, w, limit):
+    """One Monte-Carlo chain of the single loop, sample by sample over Python
+    lists, driven from rest by the output disturbance w.
+
+    Returns the outputs up to and including the first one that fails
+    |y| <= limit (NaN included), and that sample's index or None.
+    """
+    tf = problem.process
+    b = list(tf.num)
+    a = list(tf.den[1:])
+    d = tf.delay
+    k1, k2, k3 = k
+    n = len(w)
+    u = [0.0] * n
+    x = [0.0] * n
+    y = [0.0] * n
+    e1 = e2 = 0.0
+    for t in range(n):
+        acc = 0.0
+        for j in range(len(b)):
+            idx = t - d - j
+            if idx >= 0:
+                acc += b[j] * u[idx]
+        for i in range(len(a)):
+            idx = t - 1 - i
+            if idx >= 0:
+                acc -= a[i] * x[idx]
+        x[t] = acc
+        yt = acc + w[t]
+        y[t] = yt
+        if not abs(yt) <= limit:
+            return np.asarray(y[: t + 1]), t
+        e = -yt
+        u[t] = (u[t - 1] if t >= 1 else 0.0) + k1 * e + k2 * e1 + k3 * e2
+        e2, e1 = e1, e
+    return np.asarray(y), None
+
+
+def mc_chain_cascade(problem, k, w1, w2, limit):
+    """One Monte-Carlo chain of the PI/P cascade, sample by sample over Python
+    lists, driven from rest by the outer and inner output disturbances.
+
+    Returns the outer outputs up to and including the first one that fails
+    |y1| <= limit (NaN included), and that sample's index or None.
+    """
+    b1, a1, d1 = list(problem.outer.num), list(problem.outer.den[1:]), problem.outer.delay
+    b2, a2, d2 = list(problem.inner.num), list(problem.inner.den[1:]), problem.inner.delay
+    k4, k5, k6 = k
+    n = len(w1)
+    u = [0.0] * n
+    x1 = [0.0] * n
+    x2 = [0.0] * n
+    y1 = [0.0] * n
+    y2 = [0.0] * n
+    v = 0.0
+    e1p = 0.0
+    for t in range(n):
+        acc2 = 0.0
+        for j in range(len(b2)):
+            idx = t - d2 - j
+            if idx >= 0:
+                acc2 += b2[j] * u[idx]
+        for i in range(len(a2)):
+            idx = t - 1 - i
+            if idx >= 0:
+                acc2 -= a2[i] * x2[idx]
+        x2[t] = acc2
+        y2t = acc2 + w2[t]
+        y2[t] = y2t
+
+        acc1 = 0.0
+        for j in range(len(b1)):
+            idx = t - d1 - j
+            if idx >= 0:
+                acc1 += b1[j] * y2[idx]
+        for i in range(len(a1)):
+            idx = t - 1 - i
+            if idx >= 0:
+                acc1 -= a1[i] * x1[idx]
+        x1[t] = acc1
+        y1t = acc1 + w1[t]
+        y1[t] = y1t
+        if not abs(y1t) <= limit:
+            return np.asarray(y1[: t + 1]), t
+
+        e1 = -y1t
+        v = v + k4 * e1 + k5 * e1p
+        e1p = e1
+        u[t] = k6 * (v - y2t)
+    return np.asarray(y1), None

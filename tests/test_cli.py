@@ -242,3 +242,43 @@ def test_reports_identical_apart_from_timestamps(tmp_path):
         return d
 
     assert strip(out1) == strip(out2)
+
+
+def test_validate_notes_underpowered_check(tmp_path, capsys):
+    # at the assessed immersion gains 20000 independent-shock samples leave a
+    # standard error near 2.7%, too wide for the 2% check to mean anything
+    path = write(tmp_path, CASCADE, "immersion.json")
+    code = main(["validate", str(path), "--params", "2.5223,-2.5218,-1.1225",
+                 "--samples", "20000", "--mode", "independent", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "immersion_validate.json").read_text())
+    assert payload["underpowered"] is True
+    assert payload["chains"] == 2
+    assert payload["z"] == pytest.approx(
+        (payload["estimate"] - payload["analytic"]) / payload["standard_error"])
+    assert "note: underpowered" in out
+    # the verdict is still the 2% rule alone
+    assert code == (0 if payload["relative_error"] <= 0.02 else 1)
+
+
+def test_validate_powered_check_has_no_note(tmp_path, capsys):
+    path = write(tmp_path, BENCH1)
+    code = main(["validate", str(path), "--params", "2.8408,-4.4059,1.7486",
+                 "--samples", "400000", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "problem_validate.json").read_text())
+    assert code == 0
+    assert payload["underpowered"] is False
+    assert payload["chains"] == 40
+    assert "underpowered" not in out
+
+
+def test_assess_validate_notes_underpowered_check(tmp_path, capsys):
+    doc = {**CASCADE, "mc": {"mode": "independent", "samples": 20000, "seed": 1}}
+    path = write(tmp_path, doc, "immersion.json")
+    code = main(["assess", str(path), "--runs", "2", "--validate", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    v = json.loads((tmp_path / "immersion_assess.json").read_text())["validation"]
+    assert v["underpowered"] is True
+    assert "note: underpowered" in out
+    assert code == (0 if v["relative_error"] <= 0.02 else 1)

@@ -219,3 +219,25 @@ def test_multistage_keeps_stage_one_overshoot():
     staged = simulate_multistage(problem, [(AIR_RHO0, 0), (k2, 120)])
     plain = simulate_step(problem, AIR_RHO0)
     assert staged.overshoot_pct == pytest.approx(plain.overshoot_pct, abs=1e-3)
+
+
+def test_tune_warns_per_row_when_loop_cannot_settle():
+    # the open-loop check warns at construction; the tuned row's own radius
+    # says its slowest mode needs more than 20 samples to enter the 2% band
+    with pytest.warns(UserWarning, match="horizon"):
+        problem = TuningProblem(loop=air().loop, horizon=20, sample_time=10.0)
+    with pytest.warns(UserWarning, match=r"rho=0: .* samples to settle within 2%") as rec:
+        report = tune(problem, TlboConfig(dimensions=3, seed=5), runs=1)
+    radius = report.rows[0].closed_loop_radius
+    assert 0 < radius < 1
+    assert math.log(0.02) / math.log(radius) > 20
+    assert any(f"radius {radius:.5f}" in str(w.message) for w in rec)
+
+
+def test_tune_row_warning_silent_when_horizon_suffices():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = tune(air(), TlboConfig(dimensions=3, seed=5), runs=1)
+    assert math.log(0.02) / math.log(report.rows[0].closed_loop_radius) <= air().horizon
