@@ -16,9 +16,8 @@ from .cascade import (
     assess_cascade,
     cascade_impulse,
     cascade_objective,
-    cascade_variance,
 )
-from .lti import DiscreteTransferFunction, ImpulseSeq
+from .lti import DiscreteTransferFunction
 from .mc import McConfig, McEstimate, McStabilityError, mc_variance_cascade, mc_variance_single
 from .reports import AssessmentReport, SuiteReport, TuningReport
 from .singleloop import (
@@ -31,7 +30,6 @@ from .singleloop import (
     closed_loop_radius,
     cpa_objective,
     mv_benchmark,
-    output_variance,
 )
 from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, minimize
 from .tuning import (
@@ -39,8 +37,6 @@ from .tuning import (
     TuningProblem,
     simulate_multistage,
     simulate_step,
-    simulate_step_cascade,
-    simulate_step_single,
     tune,
     tuning_objective,
 )
@@ -55,7 +51,6 @@ __all__ = [
     "CascadeProblem",
     "DIVERGENCE_SENTINEL",
     "DiscreteTransferFunction",
-    "ImpulseSeq",
     "McConfig",
     "McEstimate",
     "McStabilityError",
@@ -74,7 +69,6 @@ __all__ = [
     "assess_single",
     "cascade_impulse",
     "cascade_objective",
-    "cascade_variance",
     "closed_loop_impulse",
     "closed_loop_radius",
     "cpa_objective",
@@ -84,12 +78,9 @@ __all__ = [
     "mc_variance_single",
     "minimize",
     "mv_benchmark",
-    "output_variance",
     "run_benchmark_suite",
     "simulate_multistage",
     "simulate_step",
-    "simulate_step_cascade",
-    "simulate_step_single",
     "tune",
     "tuning_objective",
 ]

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import DiscreteTransferFunction, ImpulseSeq
+from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport
-from .singleloop import CountingObjective, _assess, _LoopKernel, guarded_variance
+from .singleloop import _assess, _LoopKernel, guarded_variance
 from .tlbo import TlboConfig
 
 
@@ -64,37 +64,16 @@ class CascadeProblem:
         object.__setattr__(self, "truncation", int(p))
 
 
-def cascade_impulse(
-    problem: CascadeProblem, k: CascadeParams
-) -> tuple[ImpulseSeq, ImpulseSeq]:
-    """Outer-output responses to unit shocks on the two disturbances."""
+def cascade_impulse(problem: CascadeProblem, k: CascadeParams) -> np.ndarray:
+    """Outer-output responses to unit shocks on the two disturbances, one row
+    each: (2, p), so ``phi1, phi2 = cascade_impulse(...)``."""
     kernel = _LoopKernel(problem)
-    phi1, phi2 = kernel.shock(k.as_array(), kernel.forcing(np.eye(2)))
-    return ImpulseSeq(phi1, kind="impulse"), ImpulseSeq(phi2, kind="impulse")
+    return kernel.shock(k.as_array(), kernel.forcing(np.eye(2)))
 
 
-def cascade_variance(
-    phi1: ImpulseSeq, phi2: ImpulseSeq, sigma1: float, sigma2: float
-) -> float:
-    """phi1'phi1 s1^2 + phi2'phi2 s2^2 + 2 phi1'phi2 s1 s2.
-
-    The cross term assumes fully correlated shocks; the Monte-Carlo oracle
-    exposes both that reading and the independent one.
-    """
-    if len(phi1) != len(phi2):
-        raise ValueError(f"length mismatch: {len(phi1)} vs {len(phi2)}")
-    if sigma1 < 0 or sigma2 < 0:
-        raise ValueError("standard deviations must be >= 0")
-    a, b = phi1.coeffs, phi2.coeffs
-    return (
-        float(a @ a) * sigma1**2
-        + float(b @ b) * sigma2**2
-        + 2.0 * float(a @ b) * sigma1 * sigma2
-    )
-
-
-def cascade_objective(problem: CascadeProblem) -> CountingObjective:
-    """Outer-output variance as a function of (k4, k5, k6)."""
+def cascade_objective(problem: CascadeProblem):
+    """Outer-output variance as a function of (k4, k5, k6), with fully
+    correlated shocks: phi1'phi1 s1^2 + phi2'phi2 s2^2 + 2 phi1'phi2 s1 s2."""
     kernel = _LoopKernel(problem)
     # the fully correlated cross term makes the variance one sum of squares,
     # that of s1 phi1 + s2 phi2
@@ -103,7 +82,7 @@ def cascade_objective(problem: CascadeProblem) -> CountingObjective:
     def fn(k: np.ndarray) -> float:
         return guarded_variance(kernel.shock(k, forcing), 1.0)
 
-    return CountingObjective(fn)
+    return fn
 
 
 def assess_cascade(

@@ -227,7 +227,7 @@ def _mc_validation(loop, k: np.ndarray, mc_cfg: McConfig) -> dict:
         return est.validation_block(float(cascade_objective(loop)(k)))
     phi1, phi2 = cascade_impulse(loop, CascadeParams.from_array(k))
     v1, v2 = loop.noise_variances
-    return est.validation_block(phi1.sum_of_squares() * v1 + phi2.sum_of_squares() * v2)
+    return est.validation_block(float(phi1 @ phi1) * v1 + float(phi2 @ phi2) * v2)
 
 
 def _print_underpowered_note(block: dict) -> None:
@@ -317,6 +317,9 @@ def cmd_tune(args) -> int:
               f"{record.overshoot_pct:.2f}%  settling: {record.settling_time_s:.6g} s")
         return EXIT_OK
 
+    if args.rho_sweep and sweep is None:
+        print("problem file has no tuning.rho_sweep", file=sys.stderr)
+        return EXIT_USAGE
     rhos = sweep if args.rho_sweep else None
     report = tune(problem, cfg, runs=runs, rho_sweep=rhos)
     write_json(out / f"{stem}_tune.json", report.to_dict())
@@ -359,7 +362,7 @@ def cmd_validate(args) -> int:
     doc = _load_document(Path(args.file))
     loop = _parse_loop(doc)
     mc_cfg = _parse_mc(doc)
-    if args.samples:
+    if args.samples is not None:
         mc_cfg = replace(mc_cfg, samples=args.samples, burn_in=None)
     if args.mode:
         mc_cfg = replace(mc_cfg, correlation_mode=args.mode)
@@ -381,6 +384,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK if block["relative_error"] <= VALIDATION_RTOL else EXIT_FAILURE
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pidmov",
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="optimizer base seed")
-    common.add_argument("--runs", type=int, default=None, help="independent runs")
+    common.add_argument("--runs", type=_count, default=None, help="independent runs")
     common.add_argument("--out", default=None, help="report output directory")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="extra table format (JSON is always written)")
@@ -424,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--params", required=True,
                    help="controller parameters, e.g. '2.84,-4.41,1.75'")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--mode", choices=("independent", "fully_correlated"), default=None)
     p.set_defaults(fn=cmd_validate)
     return parser

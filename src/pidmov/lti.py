@@ -1,7 +1,7 @@
 """Discrete-time LTI primitives in the backward-shift operator q^-1.
 
 Transfer functions are rational in q^-1 with a separate integer dead time;
-their truncated impulse and step responses are finite response sequences.
+their truncated impulse and step responses are plain 1-d arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class DiscreteTransferFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "delay", int(self.delay))
 
-    def impulse_response(self, n: int) -> "ImpulseSeq":
+    def impulse_response(self, n: int) -> np.ndarray:
         """First n+1 impulse-response coefficients g(0..n).
 
         g(k) = b_{k-d} - sum_{i>=1} a_i g(k-i), with out-of-range b taken as 0;
@@ -53,34 +53,9 @@ class DiscreteTransferFunction:
         if self.delay <= n:
             m = min(len(self.num), n + 1 - self.delay)
             x[self.delay:self.delay + m] = self.num[:m]
-        g = lfilter([1.0], self.den, x)
-        return ImpulseSeq(g, kind="impulse")
+        return lfilter([1.0], self.den, x)
 
-    def step_response(self, n: int) -> "ImpulseSeq":
+    def step_response(self, n: int) -> np.ndarray:
         """Running sum of the impulse response, s(k) = sum_{i<=k} g(i)."""
-        g = self.impulse_response(n)
-        return ImpulseSeq(np.cumsum(g.coeffs), kind="step")
+        return np.cumsum(self.impulse_response(n))
 
-
-@dataclass(frozen=True)
-class ImpulseSeq:
-    """Finite, read-only response sequence."""
-
-    coeffs: np.ndarray
-    kind: str = "impulse"
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-d vector")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        if self.kind not in ("impulse", "step"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-    def sum_of_squares(self) -> float:
-        return float(self.coeffs @ self.coeffs)

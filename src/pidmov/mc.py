@@ -217,7 +217,7 @@ def mc_variance_single(
 ) -> McEstimate:
     """Empirical output variance of the stochastic single loop."""
     probe = replace(problem, truncation=16 * problem.process.delay)
-    _check_decay([closed_loop_impulse(probe, k).coeffs], "single loop")
+    _check_decay([closed_loop_impulse(probe, k)], "single loop")
 
     chains, length, burn = cfg.layout
     rng = np.random.default_rng(cfg.seed)
@@ -236,7 +236,7 @@ def mc_variance_cascade(
     exactly; in independent mode the cross contribution averages out.
     """
     probe = replace(problem, truncation=16 * (problem.outer.delay + problem.inner.delay))
-    _check_decay([phi.coeffs for phi in cascade_impulse(probe, k)], "cascade")
+    _check_decay(cascade_impulse(probe, k), "cascade")
 
     chains, length, burn = cfg.layout
     s1 = math.sqrt(problem.noise_variances[0])

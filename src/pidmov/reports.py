@@ -35,6 +35,7 @@ def collect_run_stats(results) -> RunStats:
             "params": [float(x) for x in r.best_point],
             "iterations": int(r.iterations),
             "evaluations": int(r.evaluations),
+            "nan_evaluations": int(r.nan_evaluations),
             "elapsed_s": float(r.elapsed),
             "terminated_by_window": bool(r.terminated_by_window),
         }

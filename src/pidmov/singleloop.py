@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.signal import lfilter
 
-from .lti import DiscreteTransferFunction, ImpulseSeq
+from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport, collect_run_stats
 from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, minimize
 
@@ -153,7 +153,7 @@ class _LoopKernel:
         loop, p = self.loop, self.loop.truncation
 
         def row(poly, tf):
-            n = tf.impulse_response(p - 1).coeffs
+            n = tf.impulse_response(p - 1)
             return np.diff(np.convolve(poly, n)[:p], prepend=0.0)
 
         if self.single:
@@ -174,14 +174,14 @@ class _LoopKernel:
         return lfilter([1.0], a_cl, f0 + kappa * f1)
 
 
-def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> ImpulseSeq:
+def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> np.ndarray:
     """Closed-loop response phi(0..p-1) to a unit disturbance shock.
 
     phi(0) always equals the leading disturbance coefficient: feedback cannot
     act before the dead time elapses.
     """
     kernel = _LoopKernel(problem)
-    return ImpulseSeq(kernel.shock(k.as_array(), kernel.forcing([1.0])), kind="impulse")
+    return kernel.shock(k.as_array(), kernel.forcing([1.0]))
 
 
 def closed_loop_radius(loop, params) -> float:
@@ -189,12 +189,6 @@ def closed_loop_radius(loop, params) -> float:
     a cascade under the given gains; the loop is stable below 1."""
     a_cl = _LoopKernel(loop).closed_loop(params)[2]
     return float(np.abs(np.roots(a_cl)).max(initial=0.0))
-
-
-def output_variance(phi: ImpulseSeq, noise_variance: float) -> float:
-    if noise_variance < 0:
-        raise ValueError("noise variance must be >= 0")
-    return phi.sum_of_squares() * noise_variance
 
 
 def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
@@ -211,19 +205,7 @@ def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
     return v
 
 
-class CountingObjective:
-    """Callable objective with an observable evaluation count."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self.evaluations = 0
-
-    def __call__(self, k) -> float:
-        self.evaluations += 1
-        return self._fn(np.asarray(k, dtype=float))
-
-
-def cpa_objective(problem: SingleLoopProblem) -> CountingObjective:
+def cpa_objective(problem: SingleLoopProblem):
     """Truncated output variance as a function of (k1, k2, k3)."""
     kernel = _LoopKernel(problem)
     forcing = kernel.forcing([1.0])
@@ -232,14 +214,14 @@ def cpa_objective(problem: SingleLoopProblem) -> CountingObjective:
     def fn(k: np.ndarray) -> float:
         return guarded_variance(kernel.shock(k, forcing), sigma2)
 
-    return CountingObjective(fn)
+    return fn
 
 
 def mv_benchmark(problem: SingleLoopProblem) -> float:
     """Variance of the feedback-invariant part of the disturbance response:
     sigma^2 * sum of the first d squared disturbance coefficients."""
     d = problem.process.delay
-    nbar = problem.disturbance.impulse_response(d - 1).coeffs
+    nbar = problem.disturbance.impulse_response(d - 1)
     return float(nbar @ nbar) * problem.noise_variance
 
 
@@ -292,7 +274,7 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
         mv=mv,
         eta=None if mv is None else (mv / stats.mean if stats.mean > 0 else float("nan")),
         runs=runs,
-        evaluations=objective.evaluations,
+        evaluations=sum(r.evaluations for r in results),
         mean_elapsed=stats.mean_elapsed,
         per_run=stats.per_run,
         problem_summary=summary,

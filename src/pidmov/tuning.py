@@ -20,11 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.signal import lfilter, lfiltic
 
-from .cascade import CascadeParams, CascadeProblem, cascade_objective
+from .cascade import CascadeProblem, cascade_objective
 from .reports import TuningReport, TuningRow
 from .singleloop import (
-    CountingObjective,
-    ReducedPidParams,
     SingleLoopProblem,
     _LoopKernel,
     closed_loop_radius,
@@ -58,22 +56,6 @@ class TuningProblem:
         if n < 2:
             raise ValueError("horizon must be >= 2 samples")
         object.__setattr__(self, "horizon", int(n))
-        self._check_horizon()
-
-    def _check_horizon(self):
-        tf = self.loop.process if isinstance(self.loop, SingleLoopProblem) else self.loop.outer
-        roots = np.roots(tf.den) if len(tf.den) > 1 else np.array([])
-        mags = np.abs(roots)
-        mags = mags[(mags > 0) & (mags < 1)]
-        if mags.size == 0:
-            return
-        tau = -1.0 / math.log(float(mags.max()))   # dominant time constant, samples
-        if self.horizon < 10 * tau:
-            warnings.warn(
-                f"horizon of {self.horizon} samples may be too short to settle "
-                f"(dominant time constant ~{tau:.0f} samples)",
-                stacklevel=3,
-            )
 
 
 @dataclass
@@ -206,34 +188,6 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
     return amplitude - e, None
 
 
-def _simulate(loop, stages, horizon, ts, amplitude) -> StepResponseRecord:
-    bounds = _stage_bounds(stages, horizon)
-    # one filter run per distinct gain set keeps repeated stages bit-exact
-    distinct = [st for i, st in enumerate(stages) if i == 0 or st[0] != stages[i - 1][0]]
-    y, diverged_at = _step_response(_LoopKernel(loop), distinct, horizon, amplitude)
-    return _finish_record(y, amplitude, horizon, ts, bounds, diverged_at)
-
-
-def simulate_step_single(
-    problem: SingleLoopProblem,
-    k: ReducedPidParams,
-    horizon: int = 200,
-    sample_time: float = 1.0,
-    amplitude: float = 1.0,
-) -> StepResponseRecord:
-    return _simulate(problem, [((k.k1, k.k2, k.k3), 0)], horizon, sample_time, amplitude)
-
-
-def simulate_step_cascade(
-    problem: CascadeProblem,
-    k: CascadeParams,
-    horizon: int = 300,
-    sample_time: float = 1.0,
-    amplitude: float = 1.0,
-) -> StepResponseRecord:
-    return _simulate(problem, [((k.k4, k.k5, k.k6), 0)], horizon, sample_time, amplitude)
-
-
 def simulate_multistage(problem: TuningProblem, stage_params) -> StepResponseRecord:
     """Step simulation switching controller parameters at given samples.
 
@@ -242,7 +196,12 @@ def simulate_multistage(problem: TuningProblem, stage_params) -> StepResponseRec
     list of (params, switch_sample) with the first switch at 0.
     """
     stages = [(tuple(float(v) for v in ks), int(s)) for ks, s in stage_params]
-    return _simulate(problem.loop, stages, problem.horizon, problem.sample_time, problem.setpoint)
+    n, sp = problem.horizon, problem.setpoint
+    bounds = _stage_bounds(stages, n)
+    # one filter run per distinct gain set keeps repeated stages bit-exact
+    distinct = [st for i, st in enumerate(stages) if i == 0 or st[0] != stages[i - 1][0]]
+    y, diverged_at = _step_response(_LoopKernel(problem.loop), distinct, n, sp)
+    return _finish_record(y, sp, n, problem.sample_time, bounds, diverged_at)
 
 
 def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
@@ -250,7 +209,7 @@ def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
     return simulate_multistage(problem, [(params, 0)])
 
 
-def tuning_objective(problem: TuningProblem) -> CountingObjective:
+def tuning_objective(problem: TuningProblem):
     """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters."""
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
@@ -269,7 +228,7 @@ def tuning_objective(problem: TuningProblem) -> CountingObjective:
             return var
         return iae + rho * var
 
-    return CountingObjective(fn)
+    return fn
 
 
 def _check_settling(radius: float, horizon: int, rho: float) -> None:

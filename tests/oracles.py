@@ -55,8 +55,8 @@ def impulse_by_division(num, den, delay, n) -> np.ndarray:
 def dense_closed_loop_single(problem, k) -> np.ndarray:
     """Closed-loop shock response via explicit matrices and a dense solve."""
     p = problem.truncation
-    st = problem.process.step_response(p - 1).coeffs
-    nbar = problem.disturbance.impulse_response(p - 1).coeffs
+    st = problem.process.step_response(p - 1)
+    nbar = problem.disturbance.impulse_response(p - 1)
     f_mat = shift_matrix(p)
     st_mat = toeplitz_lower(st)
     system = np.eye(p) + k[0] * st_mat + k[1] * f_mat @ st_mat + k[2] * f_mat @ f_mat @ st_mat
@@ -69,11 +69,11 @@ def dense_cascade(problem, k) -> tuple[np.ndarray, np.ndarray]:
     driven by both controllers)."""
     p = problem.truncation
     k4, k5, k6 = k
-    g1 = problem.outer.impulse_response(p - 1).coeffs
-    g2 = problem.inner.impulse_response(p - 1).coeffs
+    g1 = problem.outer.impulse_response(p - 1)
+    g2 = problem.inner.impulse_response(p - 1)
     s2 = np.cumsum(g2)
-    n1 = problem.outer_disturbance.impulse_response(p - 1).coeffs
-    n2 = problem.inner_disturbance.impulse_response(p - 1).coeffs
+    n1 = problem.outer_disturbance.impulse_response(p - 1)
+    n2 = problem.inner_disturbance.impulse_response(p - 1)
     eye = np.eye(p)
     im1 = toeplitz_lower(g1)
     im2 = toeplitz_lower(g2)

@@ -73,7 +73,7 @@ def test_air_case_study():
     problem = load_case_study("air_single")
     loop = problem.loop
     assert isinstance(loop, SingleLoopProblem)
-    g = loop.process.impulse_response(6).coeffs
+    g = loop.process.impulse_response(6)
     # closed form 0.0413 * 0.8952^(k-4)
     assert g == pytest.approx([0, 0, 0, 0, 0.0413, 0.0413 * 0.8952,
                                0.0413 * 0.8952**2], abs=1e-12)

@@ -80,7 +80,7 @@ def test_assess_validate_independent_cascade(tmp_path):
     loop = _parse_loop(doc)
     phi1, phi2 = cascade_impulse(loop, CascadeParams(*payload["params"]["mean"]))
     assert v["analytic"] == pytest.approx(
-        phi1.sum_of_squares() * 5e-5 + phi2.sum_of_squares() * 5e-4, rel=1e-12)
+        float(phi1 @ phi1) * 5e-5 + float(phi2 @ phi2) * 5e-4, rel=1e-12)
     assert v["relative_error"] <= 0.02
 
 
@@ -158,6 +158,33 @@ def test_tune_negative_rho_rejected(tmp_path, capsys):
     code = main(["tune", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "rho" in capsys.readouterr().err
+
+
+def test_tune_rho_sweep_without_sweep_is_usage_error(tmp_path, capsys):
+    doc = dict(AIR)
+    doc["tuning"] = {"rho": 0.0}
+    path = write(tmp_path, doc)
+    code = main(["tune", str(path), "--rho-sweep", "--out", str(tmp_path)])
+    assert code == 2
+    assert "problem file has no tuning.rho_sweep" in capsys.readouterr().err
+    assert not (tmp_path / "problem_tune.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["assess", "{file}", "--runs", "0"],
+    ["assess", "{file}", "--runs", "-3"],
+    ["tune", "{file}", "--runs", "two"],
+    ["validate", "{file}", "--params", "2.8408,-4.4059,1.7486", "--samples", "0"],
+])
+def test_count_flags_reject_non_positive_values(tmp_path, capsys, argv):
+    path = write(tmp_path, BENCH1)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(file=path) for a in argv] + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pidmov")
+    assert "must be a positive integer" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
 
 
 def test_tune_multistage_writes_composite_series(tmp_path, capsys):

@@ -10,7 +10,6 @@ from pidmov import (
     SingleLoopProblem,
     cascade_impulse,
     cascade_objective,
-    cascade_variance,
     cpa_objective,
     load_benchmark,
     load_case_study,
@@ -100,8 +99,8 @@ def test_cascade_independent_drops_cross_term():
     k = CascadeParams(2.7638, -2.6554, -0.8436)
     phi1, phi2 = cascade_impulse(problem, k)
     s1, s2 = (v**0.5 for v in problem.noise_variances)
-    no_cross = phi1.sum_of_squares() * s1**2 + phi2.sum_of_squares() * s2**2
-    with_cross = cascade_variance(phi1, phi2, s1, s2)
+    no_cross = float(phi1 @ phi1) * s1**2 + float(phi2 @ phi2) * s2**2
+    with_cross = no_cross + 2.0 * float(phi1 @ phi2) * s1 * s2
     est = mc_variance_cascade(
         problem, k, McConfig(samples=400_000, seed=6, correlation_mode="independent")
     )
@@ -122,7 +121,7 @@ def test_cascade_modes_coincide_without_inner_noise():
                                                  correlation_mode="fully_correlated"))
     assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
     phi1, _ = cascade_impulse(problem, k)
-    single_formula = phi1.sum_of_squares() * problem.noise_variances[0]
+    single_formula = float(phi1 @ phi1) * problem.noise_variances[0]
     assert abs(a.estimate - single_formula) / single_formula < 0.05
 
 

@@ -186,7 +186,7 @@ def test_validation_block_flags_underpowered_estimates():
     k = CascadeParams(*ASSESSED_CASCADE_K)
     phi1, phi2 = cascade_impulse(IMMERSION, k)
     v1, v2 = IMMERSION.noise_variances
-    analytic = phi1.sum_of_squares() * v1 + phi2.sum_of_squares() * v2
+    analytic = float(phi1 @ phi1) * v1 + float(phi2 @ phi2) * v2
     est = mc_variance_cascade(
         IMMERSION, k, McConfig(samples=20_000, seed=1, correlation_mode="independent"))
     block = est.validation_block(analytic)

@@ -1,5 +1,6 @@
 """Report contents that every writer shares: the closed-loop radius of each
-optimum, and JSON that a strict parser reads (no NaN or Infinity tokens)."""
+optimum, the optimizer's evaluation counts, and JSON that a strict parser
+reads (no NaN or Infinity tokens)."""
 
 import json
 import math
@@ -17,6 +18,7 @@ from pidmov import (
     tune,
 )
 from pidmov.reports import write_json
+from pidmov.singleloop import _assess, seeded_runs
 
 QUICK = TlboConfig(dimensions=3, seed=1, max_iterations=10)
 
@@ -34,6 +36,21 @@ def test_assessment_reports_radius_at_mean_params():
         report = assess(problem, QUICK, runs=2)
         assert report.closed_loop_radius == closed_loop_radius(problem, report.params_mean)
         assert report.to_dict()["closed_loop_radius"] == report.closed_loop_radius
+
+
+def test_per_run_entries_count_nan_evaluations():
+    # a sphere that reads NaN on a third of the box: TLBO rejects and counts
+    # those candidates, and each run's report entry carries its count
+    def objective(k):
+        return math.nan if k[0] > 50 / 3 else float(k @ k)
+
+    results = seeded_runs(objective, QUICK, 3)
+    report = _assess(load_benchmark(1), objective, QUICK, runs=3)
+    assert [r["nan_evaluations"] for r in report.per_run] == [
+        r.nan_evaluations for r in results]
+    assert sum(r.nan_evaluations for r in results) > 0
+    assert report.evaluations == sum(r["evaluations"] for r in report.per_run)
+    assert report.to_dict()["per_run"] == report.per_run
 
 
 def test_tuning_rows_report_radius():

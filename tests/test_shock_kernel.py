@@ -96,7 +96,7 @@ def assert_variance(got, want):
 @given(single_instance())
 def test_single_loop_matches_dense_oracle(instance):
     problem, k = instance
-    phi = closed_loop_impulse(problem, ReducedPidParams.from_array(k)).coeffs
+    phi = closed_loop_impulse(problem, ReducedPidParams.from_array(k))
     want = dense_closed_loop_single(problem, k)
     assert np.max(np.abs(phi - want)) <= ATOL
     assert_variance(cpa_objective(problem)(k), float(want @ want) * problem.noise_variance)
@@ -108,8 +108,8 @@ def test_cascade_matches_dense_oracle(instance):
     problem, k = instance
     phi1, phi2 = cascade_impulse(problem, CascadeParams.from_array(k))
     want1, want2 = dense_cascade(problem, k)
-    assert np.max(np.abs(phi1.coeffs - want1)) <= ATOL
-    assert np.max(np.abs(phi2.coeffs - want2)) <= ATOL
+    assert np.max(np.abs(phi1 - want1)) <= ATOL
+    assert np.max(np.abs(phi2 - want2)) <= ATOL
     s1, s2 = np.sqrt(problem.noise_variances)
     total = s1 * want1 + s2 * want2
     assert_variance(cascade_objective(problem)(k), float(total @ total))
@@ -123,8 +123,8 @@ def test_immersion_cascade_cancellation_case():
     for _, k, _ in CASE_STUDY_REFERENCE["immersion_cascade"]:
         phi1, phi2 = cascade_impulse(problem, CascadeParams(*k))
         want1, want2 = dense_cascade(problem, np.array(k))
-        assert np.max(np.abs(phi1.coeffs - want1)) <= ATOL
-        assert np.max(np.abs(phi2.coeffs - want2)) <= ATOL
+        assert np.max(np.abs(phi1 - want1)) <= ATOL
+        assert np.max(np.abs(phi2 - want2)) <= ATOL
         total = s1 * want1 + s2 * want2
         assert_variance(cascade_objective(problem)(np.array(k)), float(total @ total))
 
@@ -141,7 +141,7 @@ def test_overflow_returns_ordered_sentinel_single_loop():
     values = []
     for k1 in (1e100, 1e200):       # the larger gain overflows sooner
         k = np.array([k1, 0.0, 0.0])
-        phi = closed_loop_impulse(problem, ReducedPidParams.from_array(k)).coeffs
+        phi = closed_loop_impulse(problem, ReducedPidParams.from_array(k))
         assert not np.isfinite(phi).all()
         values.append(objective(k))
         assert values[-1] == _sentinel(phi)
@@ -157,7 +157,7 @@ def test_overflow_returns_ordered_sentinel_cascade():
         phi1, phi2 = cascade_impulse(problem, CascadeParams.from_array(k))
         s1, s2 = np.sqrt(problem.noise_variances)
         with np.errstate(invalid="ignore"):
-            total = s1 * phi1.coeffs + s2 * phi2.coeffs
+            total = s1 * phi1 + s2 * phi2
         assert not np.isfinite(total).all()
         values.append(objective(k))
         assert values[-1] == _sentinel(total)

@@ -3,7 +3,6 @@ import pytest
 
 from pidmov import (
     DiscreteTransferFunction,
-    ImpulseSeq,
     PidGains,
     ReducedPidParams,
     SingleLoopProblem,
@@ -13,8 +12,8 @@ from pidmov import (
     cpa_objective,
     load_benchmark,
     mv_benchmark,
-    output_variance,
 )
+from pidmov.singleloop import guarded_variance, seeded_runs
 
 from oracles import dense_closed_loop_single
 
@@ -74,25 +73,25 @@ def test_default_truncation_is_eight_dead_times():
 def test_open_loop_returns_disturbance_response():
     problem = load_benchmark(1)
     phi = closed_loop_impulse(problem, k0())
-    nbar = problem.disturbance.impulse_response(problem.truncation - 1).coeffs
-    assert phi.coeffs == pytest.approx(nbar, abs=1e-14)
+    nbar = problem.disturbance.impulse_response(problem.truncation - 1)
+    assert phi == pytest.approx(nbar, abs=1e-14)
 
 
 def test_integrating_disturbance_open_loop_is_all_ones():
     problem = load_benchmark(8)
     phi = closed_loop_impulse(problem, k0())
     assert len(phi) == 24
-    assert phi.coeffs == pytest.approx(np.ones(24))
+    assert phi == pytest.approx(np.ones(24))
 
 
 def test_first_sample_is_feedback_invariant():
     problem = load_benchmark(1)
-    gd0 = problem.disturbance.impulse_response(0).coeffs[0]
+    gd0 = problem.disturbance.impulse_response(0)[0]
     rng = np.random.default_rng(3)
     for _ in range(20):
         k = ReducedPidParams(*rng.uniform(-5, 5, 3))
         phi = closed_loop_impulse(problem, k)
-        assert phi.coeffs[0] == pytest.approx(gd0, abs=1e-14)
+        assert phi[0] == pytest.approx(gd0, abs=1e-14)
 
 
 def test_matches_dense_matrix_oracle():
@@ -109,7 +108,7 @@ def test_matches_dense_matrix_oracle():
         checked = 0
         while checked < 8:
             k = rng.uniform(-2, 2, 3)
-            got = closed_loop_impulse(small, ReducedPidParams.from_array(k)).coeffs
+            got = closed_loop_impulse(small, ReducedPidParams.from_array(k))
             if not np.all(np.isfinite(got)) or np.abs(got).max() > 1e3:
                 continue
             want = dense_closed_loop_single(small, k)
@@ -119,11 +118,12 @@ def test_matches_dense_matrix_oracle():
 
 # ---- variance ----
 
-def test_output_variance_basics():
-    assert output_variance(ImpulseSeq(np.ones(3)), 1.0) == pytest.approx(3.0)
-    assert output_variance(ImpulseSeq(np.zeros(5)), 2.0) == 0.0
+def test_guarded_variance_basics():
+    assert guarded_variance(np.ones(3), 1.0) == pytest.approx(3.0)
+    assert guarded_variance(np.zeros(5), 2.0) == 0.0
+    b1 = load_benchmark(1)
     with pytest.raises(ValueError, match="variance"):
-        output_variance(ImpulseSeq(np.ones(2)), -1.0)
+        SingleLoopProblem(process=b1.process, disturbance=b1.disturbance, noise_variance=-1.0)
 
 
 def test_open_loop_variance_geometric_oracle():
@@ -134,7 +134,7 @@ def test_open_loop_variance_geometric_oracle():
     phi = closed_loop_impulse(problem, k0())
     r = 0.8669**2
     expected = 0.08919**2 * (1 - r**96) / (1 - r)
-    assert output_variance(phi, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert phi @ phi == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.0320135, abs=5e-7)
 
 
@@ -150,11 +150,22 @@ def test_objective_at_reference_parameters():
 
 
 def test_objective_counts_evaluations():
-    f = cpa_objective(load_benchmark(1))
-    assert f.evaluations == 0
-    f(np.zeros(3))
-    f(np.ones(3))
-    assert f.evaluations == 2
+    # the optimizer results are the one evaluation counter, and the report
+    # sums them
+    problem = load_benchmark(1)
+    cfg = TlboConfig(dimensions=3, seed=5, max_iterations=30)
+    f = cpa_objective(problem)
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return f(k)
+
+    results = seeded_runs(counted, cfg, 2)
+    assert sum(r.evaluations for r in results) == len(calls)
+    report = assess_single(problem, cfg, runs=2)
+    assert report.evaluations == len(calls)
+    assert report.evaluations == sum(r["evaluations"] for r in report.per_run)
 
 
 def test_unstable_parameters_self_penalize_finitely():

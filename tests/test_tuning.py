@@ -5,7 +5,6 @@ import pytest
 
 from pidmov import (
     DiscreteTransferFunction,
-    ReducedPidParams,
     SingleLoopProblem,
     TlboConfig,
     TuningProblem,
@@ -13,8 +12,6 @@ from pidmov import (
     load_case_study,
     simulate_multistage,
     simulate_step,
-    simulate_step_cascade,
-    simulate_step_single,
     tune,
     tuning_objective,
 )
@@ -45,11 +42,6 @@ def test_problem_validation():
         TuningProblem(loop=loop, setpoint=0.0)
 
 
-def test_short_horizon_warns():
-    with pytest.warns(UserWarning, match="horizon"):
-        TuningProblem(loop=air().loop, horizon=20)
-
-
 def test_open_loop_iae_is_horizon_times_amplitude():
     problem = air()
     rec = simulate_step(problem, (0.0, 0.0, 0.0))
@@ -61,10 +53,7 @@ def test_step_simulation_matches_independent_loop_oracle():
     problem = air()
     for k in [AIR_RHO0, (7.9520, -10.2099, 2.8804), (23.1165, -35.5929, 14.4531),
               (2.9088, -2.8420, 0.9538)]:
-        rec = simulate_step_single(
-            problem.loop, ReducedPidParams(*k),
-            horizon=problem.horizon, sample_time=problem.sample_time, amplitude=1.0,
-        )
+        rec = simulate_step(problem, k)
         y, iae = step_loop_single(problem.loop, k, problem.horizon)
         assert rec.output == pytest.approx(y, abs=1e-9)
         assert rec.iae == pytest.approx(iae, abs=1e-9)
@@ -95,24 +84,15 @@ def test_divergent_parameters_flagged():
 
 def test_amplitude_scales_linearly():
     problem = air()
-    r1 = simulate_step_single(problem.loop, ReducedPidParams(*AIR_RHO0),
-                              horizon=200, sample_time=10.0, amplitude=1.0)
-    r2 = simulate_step_single(problem.loop, ReducedPidParams(*AIR_RHO0),
-                              horizon=200, sample_time=10.0, amplitude=2.5)
+    r1 = simulate_step(problem, AIR_RHO0)
+    r2 = simulate_step(TuningProblem(loop=problem.loop, horizon=200, sample_time=10.0,
+                                     setpoint=2.5), AIR_RHO0)
     assert r2.output == pytest.approx(2.5 * r1.output, rel=1e-12)
     assert r2.iae == pytest.approx(2.5 * r1.iae, rel=1e-12)
 
 
 def test_cascade_step_tracks_setpoint():
-    from pidmov import CascadeParams
-
-    problem = load_case_study("immersion_cascade")
-    rec = simulate_step_cascade(
-        problem.loop,
-        CascadeParams(2.7638, -2.6554, -0.8436),
-        horizon=problem.horizon,
-        sample_time=problem.sample_time,
-    )
+    rec = simulate_step(load_case_study("immersion_cascade"), (2.7638, -2.6554, -0.8436))
     assert rec.stable
     assert abs(rec.error[-1]) < 1e-3
 
@@ -222,15 +202,15 @@ def test_multistage_keeps_stage_one_overshoot():
 
 
 def test_tune_warns_per_row_when_loop_cannot_settle():
-    # the open-loop check warns at construction; the tuned row's own radius
-    # says its slowest mode needs more than 20 samples to enter the 2% band
-    with pytest.warns(UserWarning, match="horizon"):
-        problem = TuningProblem(loop=air().loop, horizon=20, sample_time=10.0)
+    # the tuned row's own radius says its slowest mode needs more than 20
+    # samples to enter the 2% band; that per-row warning is the only one
+    problem = TuningProblem(loop=air().loop, horizon=20, sample_time=10.0)
     with pytest.warns(UserWarning, match=r"rho=0: .* samples to settle within 2%") as rec:
         report = tune(problem, TlboConfig(dimensions=3, seed=5), runs=1)
     radius = report.rows[0].closed_loop_radius
     assert 0 < radius < 1
     assert math.log(0.02) / math.log(radius) > 20
+    assert all(str(w.message).startswith("rho=0: ") for w in rec)
     assert any(f"radius {radius:.5f}" in str(w.message) for w in rec)
 
 
