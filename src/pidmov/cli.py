@@ -36,7 +36,7 @@ from .singleloop import (
     cpa_objective,
 )
 from .tlbo import TlboConfig
-from .tuning import TuningProblem, simulate_multistage, simulate_step, tune
+from .tuning import TuningProblem, simulate_multistage, tune
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -72,6 +72,16 @@ def _load_document(path: Path) -> dict:
     return doc
 
 
+def _section(doc: dict, name: str) -> dict:
+    """An optional mapping section; {} when absent or left empty."""
+    entry = doc.get(name)
+    if entry is None:
+        return {}
+    if not isinstance(entry, dict):
+        raise ProblemFileError(f"section '{name}' must be a mapping")
+    return entry
+
+
 def _parse_tf(doc: dict, section: str) -> DiscreteTransferFunction:
     entry = doc.get(section)
     if entry is None:
@@ -91,7 +101,7 @@ def _parse_tf(doc: dict, section: str) -> DiscreteTransferFunction:
             den=tuple(float(c) for c in entry["den"]),
             delay=int(entry.get("delay", 0)),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"section '{section}': {exc}") from exc
 
 
@@ -108,10 +118,10 @@ def _parse_loop(doc: dict):
             "(process, disturbance) or cascade sections "
             "(outer, inner, outer_disturbance, inner_disturbance)"
         )
-    noise = doc.get("noise", {})
-    assessment = doc.get("assessment", {})
-    p_mult = assessment.get("p_multiplier", 8)
+    noise = _section(doc, "noise")
+    assessment = _section(doc, "assessment")
     try:
+        p_mult = float(assessment.get("p_multiplier", 8))
         if single:
             process = _parse_tf(doc, "process")
             disturbance = _parse_tf(doc, "disturbance")
@@ -136,12 +146,12 @@ def _parse_loop(doc: dict):
             noise_variances=(float(variances[0]), float(variances[1])),
             truncation=int(truncation),
         )
-    except ValueError as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ProblemFileError(str(exc)) from exc
 
 
 def _parse_tlbo(doc: dict, seed_override: int | None) -> TlboConfig:
-    t = doc.get("tlbo", {})
+    t = _section(doc, "tlbo")
     bounds = t.get("bounds", [-50.0, 50.0])
     if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
         raise ProblemFileError("field 'tlbo.bounds' must be [lower, upper]")
@@ -155,14 +165,13 @@ def _parse_tlbo(doc: dict, seed_override: int | None) -> TlboConfig:
             termination_tol=float(t.get("tol", 1e-7)),
             max_iterations=int(t.get("max_iters", 2000)),
             seed=int(seed_override if seed_override is not None else t.get("seed", 0)),
-            per_dimension_rand=bool(t.get("per_dimension_rand", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"section 'tlbo': {exc}") from exc
 
 
 def _parse_mc(doc: dict) -> McConfig:
-    m = doc.get("mc", {})
+    m = _section(doc, "mc")
     try:
         return McConfig(
             samples=int(m.get("samples", MC_DEFAULT_SAMPLES)),
@@ -170,39 +179,39 @@ def _parse_mc(doc: dict) -> McConfig:
             seed=int(m.get("seed", 0)),
             correlation_mode=m.get("mode", "fully_correlated"),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"section 'mc': {exc}") from exc
 
 
 def _parse_tuning(doc: dict, loop) -> tuple[TuningProblem, list[float] | None, list]:
-    t = doc.get("tuning", {})
-    rho = float(t.get("rho", 0.0))
-    sweep = t.get("rho_sweep")
-    if sweep is not None:
-        if not isinstance(sweep, (list, tuple)) or not sweep:
-            raise ProblemFileError("field 'tuning.rho_sweep' must be a non-empty list")
-        sweep = [float(r) for r in sweep]
-        if any(r < 0 for r in sweep):
-            raise ProblemFileError("field 'tuning.rho_sweep' entries must be >= 0")
-    if rho < 0:
-        raise ProblemFileError("field 'tuning.rho' must be >= 0")
+    t = _section(doc, "tuning")
     try:
+        rho = float(t.get("rho", 0.0))
+        sweep = t.get("rho_sweep")
+        if sweep is not None:
+            if not isinstance(sweep, (list, tuple)) or not sweep:
+                raise ProblemFileError("field 'tuning.rho_sweep' must be a non-empty list")
+            sweep = [float(r) for r in sweep]
+            if any(r < 0 for r in sweep):
+                raise ProblemFileError("field 'tuning.rho_sweep' entries must be >= 0")
+        if rho < 0:
+            raise ProblemFileError("field 'tuning.rho' must be >= 0")
+        horizon = t.get("horizon")
         problem = TuningProblem(
             loop=loop,
             weight=rho,
-            horizon=t.get("horizon"),
+            horizon=None if horizon is None else int(horizon),
             sample_time=float(t.get("sample_time", 1.0)),
             setpoint=float(t.get("setpoint", 1.0)),
         )
-    except ValueError as exc:
+        stages = []
+        for i, st in enumerate(t.get("multistage", [])):
+            if not isinstance(st, dict) or "params" not in st:
+                raise ProblemFileError(f"tuning.multistage[{i}] needs a 'params' field")
+            stages.append((tuple(float(v) for v in st["params"]), int(st.get("switch", 0))))
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"section 'tuning': {exc}") from exc
-    stages = t.get("multistage", [])
-    parsed_stages = []
-    for i, st in enumerate(stages):
-        if not isinstance(st, dict) or "params" not in st:
-            raise ProblemFileError(f"tuning.multistage[{i}] needs a 'params' field")
-        parsed_stages.append((tuple(float(v) for v in st["params"]), int(st.get("switch", 0))))
-    return problem, sweep, parsed_stages
+    return problem, sweep, stages
 
 
 def _out_dir(args) -> Path:
@@ -243,6 +252,7 @@ def cmd_assess(args) -> int:
     doc = _load_document(Path(args.file))
     loop = _parse_loop(doc)
     cfg = _parse_tlbo(doc, args.seed)
+    mc_cfg = _parse_mc(doc) if args.validate else None
     runs = args.runs if args.runs is not None else 30
     try:
         if isinstance(loop, SingleLoopProblem):
@@ -255,7 +265,7 @@ def cmd_assess(args) -> int:
 
     if args.validate:
         try:
-            report.validation = _mc_validation(loop, report.params_mean, _parse_mc(doc))
+            report.validation = _mc_validation(loop, report.params_mean, mc_cfg)
         except McStabilityError as exc:
             print(f"validation failed: {exc}", file=sys.stderr)
             return EXIT_FAILURE
@@ -326,9 +336,7 @@ def cmd_tune(args) -> int:
     if args.format == "csv":
         write_csv(out / f"{stem}_tune.csv", report.csv_rows())
     for row in report.rows:
-        sub = replace(problem, weight=row.rho)
-        record = simulate_step(sub, row.params)
-        write_series_csv(out / f"{stem}_step_rho{row.rho:g}.csv", record)
+        write_series_csv(out / f"{stem}_step_rho{row.rho:g}.csv", row.record)
         print(f"rho={row.rho:<10g} sigma2={row.sigma2:.6g}  IAE={row.iae:.6g}  "
               f"overshoot={row.overshoot_pct:.2f}%  settling={row.settling_time_s:.6g} s")
     return EXIT_OK

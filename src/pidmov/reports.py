@@ -13,46 +13,17 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass
-class RunStats:
-    mean: float
-    std: float
-    worst: float
-    best: float
-    params_mean: np.ndarray
-    params_std: np.ndarray
-    mean_elapsed: float
-    per_run: list[dict]
-    histories: list[np.ndarray]
-
-
-def collect_run_stats(results) -> RunStats:
-    fits = np.array([r.best_fitness for r in results])
-    points = np.vstack([r.best_point for r in results])
-    per_run = [
-        {
-            "fitness": float(r.best_fitness),
-            "params": [float(x) for x in r.best_point],
-            "iterations": int(r.iterations),
-            "evaluations": int(r.evaluations),
-            "nan_evaluations": int(r.nan_evaluations),
-            "elapsed_s": float(r.elapsed),
-            "terminated_by_window": bool(r.terminated_by_window),
-        }
-        for r in results
-    ]
-    nruns = len(results)
-    return RunStats(
-        mean=float(fits.mean()),
-        std=float(fits.std(ddof=1)) if nruns > 1 else 0.0,
-        worst=float(fits.max()),
-        best=float(fits.min()),
-        params_mean=points.mean(axis=0),
-        params_std=points.std(axis=0, ddof=1) if nruns > 1 else np.zeros(points.shape[1]),
-        mean_elapsed=float(np.mean([r.elapsed for r in results])),
-        per_run=per_run,
-        histories=[r.fitness_history for r in results],
-    )
+def run_entry(r) -> dict:
+    """The ``per_run`` report entry of one optimizer run (an ``OptResult``)."""
+    return {
+        "fitness": float(r.best_fitness),
+        "params": [float(x) for x in r.best_point],
+        "iterations": int(r.iterations),
+        "evaluations": int(r.evaluations),
+        "nan_evaluations": int(r.nan_evaluations),
+        "elapsed_s": float(r.elapsed),
+        "terminated_by_window": bool(r.terminated_by_window),
+    }
 
 
 def _config_dict(cfg) -> dict:
@@ -149,6 +120,8 @@ class TuningRow:
     settling_time_s: float
     optimizer_fitness: float
     closed_loop_radius: float
+    # the row's StepResponseRecord, for the series files; not serialized
+    record: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .lti import DiscreteTransferFunction
-from .reports import AssessmentReport, collect_run_stats
+from .reports import AssessmentReport, run_entry
 from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, minimize
 
 
@@ -225,15 +225,6 @@ def mv_benchmark(problem: SingleLoopProblem) -> float:
     return float(nbar @ nbar) * problem.noise_variance
 
 
-def run_seeds(base_seed: int, runs: int) -> list[int]:
-    """Deterministic per-run seeds derived from one base seed."""
-    return [int(s) for s in np.random.SeedSequence(base_seed).generate_state(runs)]
-
-
-def default_cpa_config(seed: int = 0) -> TlboConfig:
-    return TlboConfig(dimensions=3, seed=seed)
-
-
 class AssessmentError(RuntimeError):
     pass
 
@@ -245,14 +236,15 @@ def seeded_runs(objective, cfg: TlboConfig, runs: int) -> list[OptResult]:
         raise ValueError("runs must be >= 1")
     if cfg.dimensions != 3:
         raise ValueError("the controller search needs a 3-dimensional config")
-    return [minimize(objective, replace(cfg, seed=s)) for s in run_seeds(cfg.seed, runs)]
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(runs)
+    return [minimize(objective, replace(cfg, seed=int(s))) for s in seeds]
 
 
 def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
             mv: float | None = None) -> AssessmentReport:
     """Statistics of independent seeded runs minimizing ``objective``; the
     single loop and the cascade differ only in the objective and the MV floor."""
-    cfg = cfg or default_cpa_config()
+    cfg = cfg or TlboConfig(dimensions=3)
     results = seeded_runs(objective, cfg, runs)
     for r in results:
         if not math.isfinite(r.best_fitness) or r.best_fitness >= DIVERGENCE_SENTINEL:
@@ -260,26 +252,29 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
                 f"optimizer failed to find a finite-variance controller "
                 f"(best fitness {r.best_fitness:.3e})"
             )
-    stats = collect_run_stats(results)
+    fits = np.array([r.best_fitness for r in results])
+    points = np.vstack([r.best_point for r in results])
+    ddof = 1 if runs > 1 else 0      # one run has no spread: std 0.0
+    mov, params_mean = float(fits.mean()), points.mean(axis=0)
     summary = summarize_problem(problem)
     return AssessmentReport(
         kind=summary["type"],
-        mov=stats.mean,
-        mov_std=stats.std,
-        mov_worst=stats.worst,
-        mov_best=stats.best,
-        params_mean=stats.params_mean,
-        params_std=stats.params_std,
-        closed_loop_radius=closed_loop_radius(problem, stats.params_mean),
+        mov=mov,
+        mov_std=float(fits.std(ddof=ddof)),
+        mov_worst=float(fits.max()),
+        mov_best=float(fits.min()),
+        params_mean=params_mean,
+        params_std=points.std(axis=0, ddof=ddof),
+        closed_loop_radius=closed_loop_radius(problem, params_mean),
         mv=mv,
-        eta=None if mv is None else (mv / stats.mean if stats.mean > 0 else float("nan")),
+        eta=None if mv is None else (mv / mov if mov > 0 else float("nan")),
         runs=runs,
         evaluations=sum(r.evaluations for r in results),
-        mean_elapsed=stats.mean_elapsed,
-        per_run=stats.per_run,
+        mean_elapsed=float(np.mean([r.elapsed for r in results])),
+        per_run=[run_entry(r) for r in results],
         problem_summary=summary,
         optimizer_config=cfg,
-        run_histories=stats.histories,
+        run_histories=[r.fitness_history for r in results],
     )
 
 

@@ -2,8 +2,9 @@
 
 Two phases per teaching cycle. Teacher phase moves every learner toward the
 best individual relative to the scaled population mean; learner phase moves
-each learner toward (or away from) a random partner. Both phases use greedy
-acceptance, and the generation counter advances after each phase.
+each learner toward (or away from) a random partner. Each phase is one
+evaluate-and-accept step: the moved learners are clipped to the box,
+evaluated, and each move is kept where it improves its learner.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ class TlboConfig:
     termination_tol: float = 1e-7
     max_iterations: int = 2000       # phases
     seed: int = 0
-    # Scalar random factor per learner follows the update laws as written
-    # (one r per learner). Per-dimension sampling is the other common reading;
-    # it explores more but loses the line-move structure the benchmark
-    # problems rely on.
-    per_dimension_rand: bool = False
 
     def __post_init__(self):
         if self.dimensions < 1:
@@ -57,7 +53,7 @@ class TlboConfig:
 class OptResult:
     best_point: np.ndarray
     best_fitness: float
-    iterations: int            # phases run (two per teaching cycle)
+    iterations: int            # phases run (two per full teaching cycle)
     evaluations: int
     fitness_history: np.ndarray  # teacher fitness after init and each phase
     elapsed: float
@@ -69,53 +65,49 @@ def minimize(objective, cfg: TlboConfig) -> OptResult:
     """Minimize a real-vector objective on the configured box.
 
     Deterministic for a given config. Candidates evaluating to NaN are
-    rejected outright and counted in ``nan_evaluations``.
+    rejected outright and counted in ``nan_evaluations``. The random factor
+    r is one scalar per learner, as the update laws are written.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    npop, dim = cfg.population, cfg.dimensions
+    npop = cfg.population
     lo, hi = cfg.lower, cfg.upper
-
     nan_count = 0
 
-    def fval(x: np.ndarray) -> float:
+    def evaluate(points: np.ndarray) -> np.ndarray:
         nonlocal nan_count
-        v = float(objective(x))
-        if math.isnan(v):
-            nan_count += 1
-            return math.inf
-        return v
+        f = np.array([float(objective(x)) for x in points])
+        nan = np.isnan(f)
+        nan_count += int(np.count_nonzero(nan))
+        f[nan] = math.inf
+        return f
 
-    pop = rng.uniform(lo, hi, size=(npop, dim))
-    fit = np.array([fval(x) for x in pop])
-    evaluations = npop
-    history = [float(fit.min())]
-    phases = 0
+    pop = rng.uniform(lo, hi, size=(npop, cfg.dimensions))
+    fit = evaluate(pop)
+    history = [float(fit.min())]    # one entry after init and after each phase
+
+    def phase(moves: np.ndarray) -> None:
+        cand = np.clip(pop + moves, lo, hi)
+        cf = evaluate(cand)
+        accept = cf < fit
+        pop[accept] = cand[accept]
+        fit[accept] = cf[accept]
+        history.append(float(fit.min()))
+
+    w = cfg.termination_window
     by_window = False
-
-    def rand_factors() -> np.ndarray:
-        if cfg.per_dimension_rand:
-            return rng.random((npop, dim))
-        return rng.random(npop)[:, None]
-
-    while phases < cfg.max_iterations:
-        w = cfg.termination_window
+    while len(history) <= cfg.max_iterations:
         if len(history) > w and history[-1 - w] - history[-1] < cfg.termination_tol:
             by_window = True
             break
 
         # Teacher phase: all moves computed from the phase-start snapshot.
-        teacher = pop[int(np.argmin(fit))].copy()
+        teacher = pop[int(np.argmin(fit))]
         mean = pop.mean(axis=0)
         tf = np.round(1.0 + rng.random(npop))
-        cand = np.clip(pop + rand_factors() * (teacher - tf[:, None] * mean), lo, hi)
-        cf = np.array([fval(x) for x in cand])
-        evaluations += npop
-        accept = cf < fit
-        pop[accept] = cand[accept]
-        fit[accept] = cf[accept]
-        phases += 1
-        history.append(float(fit.min()))
+        phase(rng.random(npop)[:, None] * (teacher - tf[:, None] * mean))
+        if len(history) > cfg.max_iterations:
+            break
 
         # Learner phase: random distinct partner per learner; move toward the
         # partner when it is better, away otherwise.
@@ -126,21 +118,14 @@ def minimize(objective, cfg: TlboConfig) -> OptResult:
             clash = partners == np.arange(npop)
         better = fit < fit[partners]
         step = np.where(better[:, None], pop - pop[partners], pop[partners] - pop)
-        cand = np.clip(pop + rand_factors() * step, lo, hi)
-        cf = np.array([fval(x) for x in cand])
-        evaluations += npop
-        accept = cf < fit
-        pop[accept] = cand[accept]
-        fit[accept] = cf[accept]
-        phases += 1
-        history.append(float(fit.min()))
+        phase(rng.random(npop)[:, None] * step)
 
     best = int(np.argmin(fit))
     return OptResult(
         best_point=pop[best].copy(),
         best_fitness=float(fit[best]),
-        iterations=phases,
-        evaluations=evaluations,
+        iterations=len(history) - 1,
+        evaluations=npop * len(history),
         fitness_history=np.array(history),
         elapsed=time.perf_counter() - t0,
         nan_evaluations=nan_count,

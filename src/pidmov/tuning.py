@@ -279,6 +279,7 @@ def tune(
                 settling_time_s=record.settling_time_s,
                 optimizer_fitness=best.best_fitness,
                 closed_loop_radius=radius,
+                record=record,
             )
         )
 

@@ -187,6 +187,35 @@ def test_count_flags_reject_non_positive_values(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
 
 
+@pytest.mark.parametrize("argv, section, value", [
+    pytest.param(["tune"], "tuning", {"rho": "abc"}, id="tuning-rho"),
+    pytest.param(["tune"], "tuning", {"rho_sweep": [0, "x"]}, id="tuning-rho_sweep"),
+    pytest.param(["tune"], "tuning", {"horizon": "abc"}, id="tuning-horizon"),
+    pytest.param(["tune"], "tuning", {"horizon": float("inf")}, id="tuning-horizon-inf"),
+    pytest.param(["tune"], "tuning", {"multistage": [{"params": [1, "a", 2]}]},
+                 id="tuning-multistage"),
+    pytest.param(["tune"], "tuning", [1, 2], id="tuning-list"),
+    pytest.param(["assess"], "noise", 5, id="noise-number"),
+    pytest.param(["assess"], "tlbo", [1, 2], id="tlbo-list"),
+    pytest.param(["assess"], "assessment", "p", id="assessment-string"),
+    pytest.param(["assess", "--validate"], "mc", 5, id="mc-number"),
+])
+def test_malformed_section_is_usage_error(tmp_path, capsys, argv, section, value):
+    base = AIR if argv[0] == "tune" else BENCH1
+    path = write(tmp_path, {**base, section: value})
+    code = main([argv[0], str(path), *argv[1:], "--runs", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"section '{section}'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
+
+
+def test_quoted_p_multiplier_parses_as_a_number():
+    # a string times the dead time was a repeated string: "8" read as p = 88888
+    assert _parse_loop({**BENCH1, "assessment": {"p_multiplier": "8"}}).truncation == 40
+
+
 def test_tune_multistage_writes_composite_series(tmp_path, capsys):
     path = write(tmp_path, AIR, "air.json")
     code = main(["tune", str(path), "--multistage", "--out", str(tmp_path)])

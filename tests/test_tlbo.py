@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from pidmov import TlboConfig, minimize
+from pidmov import (TlboConfig, assess_cascade, assess_single, load_benchmark,
+                    load_case_study, minimize)
 
 
 def sphere(x):
@@ -77,6 +80,49 @@ def test_max_iterations_cap():
     assert not res.terminated_by_window
 
 
+@pytest.mark.parametrize("cap", [1, 5, 6])
+def test_max_iterations_is_exact_for_odd_and_even_caps(cap):
+    cfg = TlboConfig(dimensions=2, seed=1, max_iterations=cap, termination_window=1000)
+    res = minimize(sphere, cfg)
+    assert res.iterations == cap
+    assert len(res.fitness_history) == cap + 1
+
+
+def test_evaluations_follow_history():
+    capped = minimize(sphere, TlboConfig(dimensions=3, seed=3, max_iterations=6))
+    windowed = minimize(sphere, TlboConfig(dimensions=3, seed=3))
+    nans = minimize(lambda x: math.nan if x[0] > 0 else sphere(x),
+                    TlboConfig(dimensions=2, seed=8, population=13))
+    assert capped.iterations == 6 and not capped.terminated_by_window
+    assert windowed.terminated_by_window
+    assert nans.nan_evaluations > 0
+    for res, npop in ((capped, 20), (windowed, 20), (nans, 13)):
+        assert res.evaluations == npop * len(res.fitness_history)
+        assert res.iterations == len(res.fitness_history) - 1
+
+
+def test_seeded_trajectory_is_pinned():
+    """Recorded values: a change to the random draw order or to the phase
+    arithmetic moves them."""
+    def close(x):
+        return pytest.approx(x, rel=1e-12, abs=0.0)
+
+    res = minimize(sphere, TlboConfig(dimensions=3, seed=702))
+    assert (res.iterations, res.evaluations) == (86, 1740)
+    assert res.best_fitness == close(4.831421629530721e-11)
+
+    cfg = TlboConfig(dimensions=3, seed=2024)
+    single = assess_single(load_benchmark(1), cfg, runs=5)
+    assert single.evaluations == 10260
+    assert [r["iterations"] for r in single.per_run] == [104, 100, 94, 96, 114]
+    assert single.mov == close(3.072766425014991)
+
+    cascade = assess_cascade(load_case_study("immersion_cascade").loop, cfg, runs=5)
+    assert cascade.evaluations == 14780
+    assert [r["iterations"] for r in cascade.per_run] == [228, 100, 56, 198, 152]
+    assert cascade.mov == close(0.0005499255512063868)
+
+
 def test_nan_candidates_rejected_and_counted():
     calls = {"n": 0}
 
@@ -90,15 +136,6 @@ def test_nan_candidates_rejected_and_counted():
     assert res.nan_evaluations > 0
     assert np.isfinite(res.best_fitness)
     assert res.best_point[0] <= 0
-
-
-def test_per_dimension_rand_mode_runs_and_differs():
-    base = TlboConfig(dimensions=3, seed=11)
-    alt = TlboConfig(dimensions=3, seed=11, per_dimension_rand=True)
-    a = minimize(sphere, base)
-    b = minimize(sphere, alt)
-    assert b.best_fitness < 1e-4  # still converges on an easy problem
-    assert not np.array_equal(a.fitness_history, b.fitness_history)
 
 
 def test_config_validation():
