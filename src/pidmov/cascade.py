@@ -22,7 +22,7 @@ import numpy as np
 
 from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport
-from .singleloop import _assess, _LoopKernel, guarded_variance
+from .singleloop import _assess, _LoopKernel
 from .tlbo import TlboConfig
 
 
@@ -75,12 +75,9 @@ def cascade_objective(problem: CascadeProblem):
     """Outer-output variance as a function of (k4, k5, k6), with fully
     correlated shocks: phi1'phi1 s1^2 + phi2'phi2 s2^2 + 2 phi1'phi2 s1 s2."""
     kernel = _LoopKernel(problem)
-    # the fully correlated cross term makes the variance one sum of squares,
-    # that of s1 phi1 + s2 phi2
-    forcing = kernel.forcing(np.sqrt(problem.noise_variances))
 
     def fn(k: np.ndarray) -> float:
-        return guarded_variance(kernel.shock(k, forcing), 1.0)
+        return kernel.variance(k)
 
     return fn
 

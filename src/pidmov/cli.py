@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import run_benchmark_suite
-from .cascade import (CascadeParams, CascadeProblem, assess_cascade, cascade_impulse,
-                      cascade_objective)
+from .cascade import CascadeParams, CascadeProblem, assess_cascade
 from .lti import DiscreteTransferFunction
 from .mc import (VALIDATION_RTOL, McConfig, McStabilityError, mc_variance_cascade,
                  mc_variance_single)
@@ -32,8 +31,8 @@ from .singleloop import (
     AssessmentError,
     ReducedPidParams,
     SingleLoopProblem,
+    _LoopKernel,
     assess_single,
-    cpa_objective,
 )
 from .tlbo import TlboConfig
 from .tuning import TuningProblem, simulate_multistage, tune
@@ -228,13 +227,12 @@ def _params_from_flag(text: str, n: int = 3):
 def _mc_validation(loop, k: np.ndarray, mc_cfg: McConfig) -> dict:
     """Monte-Carlo estimate at ``k`` against the analytic variance it converges
     to; with independent cascade shocks the cross term averages out."""
-    if isinstance(loop, SingleLoopProblem):
-        est = mc_variance_single(loop, ReducedPidParams.from_array(k), mc_cfg)
-        return est.validation_block(float(cpa_objective(loop)(k)))
-    est = mc_variance_cascade(loop, CascadeParams.from_array(k), mc_cfg)
-    if mc_cfg.correlation_mode == "fully_correlated":
-        return est.validation_block(float(cascade_objective(loop)(k)))
-    phi1, phi2 = cascade_impulse(loop, CascadeParams.from_array(k))
+    kernel = _LoopKernel(loop)
+    est = (mc_variance_single(loop, ReducedPidParams.from_array(k), mc_cfg) if kernel.single
+           else mc_variance_cascade(loop, CascadeParams.from_array(k), mc_cfg))
+    if kernel.single or mc_cfg.correlation_mode == "fully_correlated":
+        return est.validation_block(kernel.variance(k))
+    phi1, phi2 = kernel.shock(k, kernel.forcing(np.eye(2)))
     v1, v2 = loop.noise_variances
     return est.validation_block(float(phi1 @ phi1) * v1 + float(phi2 @ phi2) * v2)
 
@@ -392,15 +390,22 @@ def cmd_validate(args) -> int:
     return EXIT_OK if block["relative_error"] <= VALIDATION_RTOL else EXIT_FAILURE
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: a positive integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return n
+def _int_at_least(low: int, what: str):
+    """argparse type of an integer flag no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return n
+
+    return parse
+
+
+_count = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,16 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Achievable-variance assessment and tuning of PID and "
                     "PI/P cascade loops",
     )
+    # each subcommand takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="optimizer base seed")
-    common.add_argument("--runs", type=_count, default=None, help="independent runs")
     common.add_argument("--out", default=None, help="report output directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="extra table format (JSON is always written)")
+    optimizer = argparse.ArgumentParser(add_help=False, parents=[common])
+    optimizer.add_argument("--seed", type=_seed, default=None, help="optimizer base seed")
+    optimizer.add_argument("--runs", type=_count, default=None, help="independent runs")
+    table = argparse.ArgumentParser(add_help=False, parents=[optimizer])
+    table.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="extra table format (JSON is always written)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("assess", parents=[common],
+    p = sub.add_parser("assess", parents=[table],
                        help="achievable output variance of a problem file")
     p.add_argument("file")
     p.add_argument("--validate", action="store_true",
@@ -427,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-run convergence history CSV")
     p.set_defaults(fn=cmd_assess)
 
-    p = sub.add_parser("tune", parents=[common],
+    p = sub.add_parser("tune", parents=[table],
                        help="IAE + weighted-variance controller tuning")
     p.add_argument("file")
     p.add_argument("--rho-sweep", action="store_true",
@@ -436,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulate the tuning.multistage parameter schedule")
     p.set_defaults(fn=cmd_tune)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[optimizer],
                        help="run the embedded benchmark suite")
     p.add_argument("--problems", default=None, help="comma-separated ids, e.g. 1,3,5")
     p.set_defaults(fn=cmd_bench)

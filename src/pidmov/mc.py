@@ -51,6 +51,8 @@ class McConfig:
         burn = self.burn_in if self.burn_in is not None else self.samples // 10
         if self.samples <= burn or burn < 0:
             raise ValueError("need samples > burn_in >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.correlation_mode not in ("independent", "fully_correlated"):
             raise ValueError(f"unknown correlation mode {self.correlation_mode!r}")
         object.__setattr__(self, "burn_in", int(burn))

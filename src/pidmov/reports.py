@@ -147,10 +147,9 @@ class TuningReport:
     setpoint: float
     runs: int
     assumptions: list[str] = field(default_factory=list)
-    validation: dict | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "report": "tuning",
             "kind": self.kind,
             "rows": [r.to_dict() for r in self.rows],
@@ -165,9 +164,6 @@ class TuningReport:
             "assumptions": self.assumptions,
             "meta": _meta(),
         }
-        if self.validation is not None:
-            d["validation"] = self.validation
-        return d
 
     def csv_rows(self) -> list[dict]:
         out = []

@@ -26,7 +26,7 @@ from scipy.signal import lfilter
 
 from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport, run_entry
-from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, minimize
+from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, minimize
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,7 @@ class _LoopKernel:
                               for v in (self.base, self.inner))
         self._fb = np.column_stack(
             [np.pad(self.path, (i, size - self.path.size - i)) for i in range(m)])
+        self._unit = None
 
     def closed_loop(self, ks):
         """kappa, P and A_cl of one gain set."""
@@ -173,6 +174,18 @@ class _LoopKernel:
         f0, f1 = forcing
         return lfilter([1.0], a_cl, f0 + kappa * f1)
 
+    def variance(self, ks) -> float:
+        """Truncated output variance of one gain set, penalized where it diverges;
+        in the cascade, with fully correlated shocks, that of s1 phi1 + s2 phi2."""
+        if self._unit is None:      # forcing and scale, built on first use
+            self._unit = ((self.forcing([1.0]), self.loop.noise_variance) if self.single
+                          else (self.forcing(np.sqrt(self.loop.noise_variances)), 1.0))
+        return guarded_variance(self.shock(ks, self._unit[0]), self._unit[1])
+
+    def radius(self, ks) -> float:
+        """Largest |root| of A_cl under one gain set."""
+        return float(np.abs(np.roots(self.closed_loop(ks)[2])).max(initial=0.0))
+
 
 def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> np.ndarray:
     """Closed-loop response phi(0..p-1) to a unit disturbance shock.
@@ -187,8 +200,7 @@ def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> np.n
 def closed_loop_radius(loop, params) -> float:
     """Largest |root| of the closed-loop polynomial A_cl of a single loop or
     a cascade under the given gains; the loop is stable below 1."""
-    a_cl = _LoopKernel(loop).closed_loop(params)[2]
-    return float(np.abs(np.roots(a_cl)).max(initial=0.0))
+    return _LoopKernel(loop).radius(params)
 
 
 def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
@@ -196,9 +208,7 @@ def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
     overflows; divergence that overflows earlier ranks worse."""
     bad = ~np.isfinite(phi)
     if bad.any():
-        j = int(np.argmax(bad))
-        n = phi.size
-        return DIVERGENCE_SENTINEL * (1.0 + (n - j) / n)
+        return divergence_penalty(int(np.argmax(bad)), phi.size)
     v = float(phi @ phi) * noise_variance
     if not math.isfinite(v):
         return DIVERGENCE_SENTINEL
@@ -208,11 +218,9 @@ def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
 def cpa_objective(problem: SingleLoopProblem):
     """Truncated output variance as a function of (k1, k2, k3)."""
     kernel = _LoopKernel(problem)
-    forcing = kernel.forcing([1.0])
-    sigma2 = problem.noise_variance
 
     def fn(k: np.ndarray) -> float:
-        return guarded_variance(kernel.shock(k, forcing), sigma2)
+        return kernel.variance(k)
 
     return fn
 

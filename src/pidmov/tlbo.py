@@ -21,6 +21,11 @@ import numpy as np
 DIVERGENCE_SENTINEL = 1e290
 
 
+def divergence_penalty(j: int, n: int) -> float:
+    """Sentinel-family penalty of a divergence at sample j of n; earlier ranks worse."""
+    return DIVERGENCE_SENTINEL * (1.0 + (n - j) / n)
+
+
 @dataclass
 class TlboConfig:
     dimensions: int
@@ -41,6 +46,10 @@ class TlboConfig:
             raise ValueError("termination_window must be >= 1")
         if self.termination_tol <= 0:
             raise ValueError("termination_tol must be > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.dimensions,)).copy()
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dimensions,)).copy()
         if not np.all(lo < hi):

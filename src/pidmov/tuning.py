@@ -20,17 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.signal import lfilter, lfiltic
 
-from .cascade import CascadeProblem, cascade_objective
+from .cascade import CascadeProblem
 from .reports import TuningReport, TuningRow
-from .singleloop import (
-    SingleLoopProblem,
-    _LoopKernel,
-    closed_loop_radius,
-    cpa_objective,
-    seeded_runs,
-    summarize_problem,
-)
-from .tlbo import DIVERGENCE_SENTINEL, TlboConfig
+from .singleloop import SingleLoopProblem, _LoopKernel, seeded_runs, summarize_problem
+from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty
 
 DIVERGENCE_LIMIT_FACTOR = 1e6   # |y| beyond this multiple of the setpoint -> unstable
 
@@ -214,16 +207,15 @@ def tuning_objective(problem: TuningProblem):
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
     kernel = _LoopKernel(problem.loop)
-    var_fn = cpa_objective(problem.loop) if kernel.single else cascade_objective(problem.loop)
 
     def fn(k: np.ndarray) -> float:
         y, diverged_at = _step_response(kernel, [(k, 0)], n, sp)
         if diverged_at is not None:
-            return DIVERGENCE_SENTINEL * (1.0 + (n - diverged_at) / n)
+            return divergence_penalty(diverged_at, n)
         iae = float(np.abs(sp - y).sum())    # _finish_record's sum, so J == record.iae
         if rho == 0.0:
             return iae
-        var = var_fn(k)
+        var = kernel.variance(k)
         if var >= DIVERGENCE_SENTINEL:
             return var
         return iae + rho * var
@@ -257,8 +249,7 @@ def tune(
     if any(r < 0 for r in rhos):
         raise ValueError("weight rho must be >= 0")
 
-    single = isinstance(problem.loop, SingleLoopProblem)
-    var_fn = (cpa_objective if single else cascade_objective)(problem.loop)
+    kernel = _LoopKernel(problem.loop)
     rows = []
     for rho in rhos:
         sub = replace(problem, weight=float(rho))
@@ -267,13 +258,13 @@ def tune(
         if best.best_fitness >= DIVERGENCE_SENTINEL:
             raise RuntimeError(f"tuning failed to stabilize the loop at rho={rho}")
         record = simulate_step(sub, best.best_point)
-        radius = closed_loop_radius(problem.loop, best.best_point)
+        radius = kernel.radius(best.best_point)
         _check_settling(radius, problem.horizon, rho)
         rows.append(
             TuningRow(
                 rho=float(rho),
                 params=[float(x) for x in best.best_point],
-                sigma2=float(var_fn(best.best_point)),
+                sigma2=kernel.variance(best.best_point),
                 iae=record.iae,
                 overshoot_pct=record.overshoot_pct,
                 settling_time_s=record.settling_time_s,

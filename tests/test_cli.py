@@ -338,3 +338,57 @@ def test_assess_validate_notes_underpowered_check(tmp_path, capsys):
     assert v["underpowered"] is True
     assert "note: underpowered" in out
     assert code == (0 if v["relative_error"] <= 0.02 else 1)
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, also where argparse exits through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"seed": -1}}, id="tlbo-seed"),
+    pytest.param(["assess", "{file}", "--seed", "-1"], BENCH1, id="assess-flag"),
+    pytest.param(["tune", "{file}", "--seed", "-1"], AIR, id="tune-flag"),
+    pytest.param(["bench", "--problems", "8", "--seed", "-1"], BENCH1, id="bench-flag"),
+    pytest.param(["assess", "{file}", "--validate"],
+                 {**BENCH1, "mc": {"samples": 20000, "seed": -1}}, id="mc-seed"),
+    pytest.param(["validate", "{file}", "--params", "2.8408,-4.4059,1.7486"],
+                 {**BENCH1, "mc": {"samples": 20000, "seed": -1}}, id="validate-mc-seed"),
+    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"max_iters": 0}},
+                 id="tlbo-max_iters"),
+])
+def test_negative_seed_and_no_phase_are_usage_errors(tmp_path, capsys, argv, doc):
+    path = write(tmp_path, doc)
+    code = _exit_code([a.format(file=path) for a in argv]
+                      + ["--runs", "1"] * (argv[0] != "validate") + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
+
+
+def test_seed_zero_is_valid(tmp_path, capsys):
+    path = write(tmp_path, BENCH1)
+    assert main(["assess", str(path), "--runs", "1", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{file}", "--seed", "5"],
+    ["validate", "{file}", "--runs", "7"],
+    ["validate", "{file}", "--format", "csv"],
+    ["bench", "--problems", "8", "--runs", "1", "--format", "csv"],
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    # validate runs no optimizer and writes no table; bench always writes all three
+    path = write(tmp_path, BENCH1)
+    if argv[0] == "validate":
+        argv = argv + ["--params", "2.8408,-4.4059,1.7486", "--samples", "20000"]
+    code = _exit_code([a.format(file=path) for a in argv] + ["--out", str(tmp_path)])
+    assert code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report

@@ -25,6 +25,8 @@ def test_config_validation():
         McConfig(samples=100, burn_in=100)
     with pytest.raises(ValueError, match="mode"):
         McConfig(samples=100, correlation_mode="sideways")
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(samples=1000, seed=-1)
     assert McConfig(samples=1000).burn_in == 100
 
 

@@ -147,6 +147,14 @@ def test_config_validation():
         TlboConfig(dimensions=2, termination_tol=0.0)
     with pytest.raises(ValueError, match="dimensions"):
         TlboConfig(dimensions=0)
+    # a negative seed would fail inside SeedSequence, and max_iterations < 1
+    # would run no phase and return the initial population's best
+    with pytest.raises(ValueError, match="seed"):
+        TlboConfig(dimensions=2, seed=-1)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            TlboConfig(dimensions=2, max_iterations=n)
+    assert TlboConfig(dimensions=2, seed=0, max_iterations=1).max_iterations == 1
 
 
 def test_rastrigin_multimodal_quality():
