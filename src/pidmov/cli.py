@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from .singleloop import (
     assess_single,
 )
 from .tlbo import TlboConfig
-from .tuning import TuningProblem, simulate_multistage, tune
+from .tuning import TuningProblem, _stage_bounds, simulate_multistage, tune
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -51,7 +53,10 @@ class ProblemFileError(Exception):
 def _load_document(path: Path) -> dict:
     if not path.exists():
         raise ProblemFileError(f"problem file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFileError(f"{path}: cannot read problem file: {exc}") from exc
     if path.suffix.lower() in (".yaml", ".yml"):
         import yaml
 
@@ -71,157 +76,150 @@ def _load_document(path: Path) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str) -> dict:
-    """An optional mapping section; {} when absent or left empty."""
+def _section(doc: dict, name: str, required: bool = False) -> dict:
+    """A mapping section; {} when an optional one is absent or left empty."""
     entry = doc.get(name)
-    if entry is None:
-        return {}
-    if not isinstance(entry, dict):
+    if entry is None and required:
+        raise ProblemFileError(f"missing required section '{name}'")
+    if entry is not None and not isinstance(entry, dict):
         raise ProblemFileError(f"section '{name}' must be a mapping")
-    return entry
+    return entry or {}
 
 
-def _parse_tf(doc: dict, section: str) -> DiscreteTransferFunction:
-    entry = doc.get(section)
-    if entry is None:
-        raise ProblemFileError(f"missing required section '{section}'")
-    if not isinstance(entry, dict):
-        raise ProblemFileError(f"section '{section}' must be a mapping")
-    for key in ("num", "den"):
-        if key not in entry:
-            raise ProblemFileError(f"section '{section}' is missing field '{key}'")
-        if not isinstance(entry[key], (list, tuple)) or not entry[key]:
-            raise ProblemFileError(
-                f"field '{section}.{key}' must be a non-empty coefficient list"
-            )
+def _field(where: str) -> str:
+    """'tlbo.np' names field 'np' of section 'tlbo'; a flag names itself."""
+    section, dot, key = where.partition(".")
+    return f"section '{section}': field '{key}'" if dot else where
+
+
+def _number(value, where: str, whole: bool = False):
+    """The one reader of a number from a problem file or a flag: a finite
+    float, or an exact int where ``whole``. A quoted number reads as a
+    number (PyYAML reads ``1e5`` as a string)."""
+    x = value
+    if isinstance(x, str):
+        try:
+            x = int(x)
+        except ValueError:
+            with suppress(ValueError):
+                x = float(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        if whole or abs(x) <= sys.float_info.max:
+            return x if whole else float(x)
+    elif isinstance(x, float) and math.isfinite(x) and (x.is_integer() or not whole):
+        return int(x) if whole else x
+    kind = "a whole number" if whole else "a finite number"
+    raise ProblemFileError(f"{_field(where)} must be {kind}, got {value!r}")
+
+
+def _numbers(value, where: str, n: int | None = None) -> list[float]:
+    """A list of ``n`` finite floats, or of one or more where ``n`` is None."""
+    if not isinstance(value, (list, tuple)) or not value or len(value) != (n or len(value)):
+        raise ProblemFileError(
+            f"{_field(where)} must be a list of {n or 'one or more'} numbers, got {value!r}")
+    return [_number(v, where) for v in value]
+
+
+def _checked(make, where: str, **fields):
+    """``make(**fields)``, with the ValueError it raises on a bad value as a
+    usage error."""
     try:
-        return DiscreteTransferFunction(
-            num=tuple(float(c) for c in entry["num"]),
-            den=tuple(float(c) for c in entry["den"]),
-            delay=int(entry.get("delay", 0)),
-        )
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ProblemFileError(f"section '{section}': {exc}") from exc
+        return make(**fields)
+    except ValueError as exc:
+        raise ProblemFileError(f"{where}: {exc}") from exc
+
+
+def _parse_tf(doc: dict, name: str) -> DiscreteTransferFunction:
+    entry = _section(doc, name, required=True)
+    return _checked(DiscreteTransferFunction, f"section '{name}'",
+                    num=tuple(_numbers(entry.get("num"), f"{name}.num")),
+                    den=tuple(_numbers(entry.get("den"), f"{name}.den")),
+                    delay=_number(entry.get("delay", 0), f"{name}.delay", whole=True))
 
 
 def _parse_loop(doc: dict):
     single = "process" in doc
-    cascade = "outer" in doc
-    if single and cascade:
+    if single == ("outer" in doc):
         raise ProblemFileError(
-            "problem file defines both 'process' and 'outer'; pick one loop shape"
-        )
-    if not single and not cascade:
-        raise ProblemFileError(
-            "problem file needs either single-loop sections "
-            "(process, disturbance) or cascade sections "
-            "(outer, inner, outer_disturbance, inner_disturbance)"
-        )
+            "problem file needs either single-loop sections (process, disturbance) or "
+            "cascade sections (outer, inner, outer_disturbance, inner_disturbance), not both")
     noise = _section(doc, "noise")
     assessment = _section(doc, "assessment")
-    try:
-        p_mult = float(assessment.get("p_multiplier", 8))
-        if single:
-            process = _parse_tf(doc, "process")
-            disturbance = _parse_tf(doc, "disturbance")
-            truncation = assessment.get("p", p_mult * process.delay)
-            return SingleLoopProblem(
-                process=process,
-                disturbance=disturbance,
-                noise_variance=float(noise.get("variance", 1.0)),
-                truncation=int(truncation),
-            )
-        outer = _parse_tf(doc, "outer")
-        inner = _parse_tf(doc, "inner")
-        variances = noise.get("variances", [1.0, 1.0])
-        if not isinstance(variances, (list, tuple)) or len(variances) != 2:
-            raise ProblemFileError("field 'noise.variances' must be a pair")
-        truncation = assessment.get("p", p_mult * (outer.delay + inner.delay))
-        return CascadeProblem(
-            outer=outer,
-            inner=inner,
-            outer_disturbance=_parse_tf(doc, "outer_disturbance"),
-            inner_disturbance=_parse_tf(doc, "inner_disturbance"),
-            noise_variances=(float(variances[0]), float(variances[1])),
-            truncation=int(truncation),
-        )
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ProblemFileError(str(exc)) from exc
+    if single:
+        make = SingleLoopProblem
+        models = {name: _parse_tf(doc, name) for name in ("process", "disturbance")}
+        dead_time = models["process"].delay
+        models["noise_variance"] = _number(noise.get("variance", 1.0), "noise.variance")
+    else:
+        make = CascadeProblem
+        models = {name: _parse_tf(doc, name) for name in
+                  ("outer", "inner", "outer_disturbance", "inner_disturbance")}
+        dead_time = models["outer"].delay + models["inner"].delay
+        models["noise_variances"] = tuple(
+            _numbers(noise.get("variances", [1.0, 1.0]), "noise.variances", 2))
+    p = assessment.get("p")
+    if p is None:    # p_multiplier times the dead time, which must come out whole
+        p = _number(assessment.get("p_multiplier", 8), "assessment.p_multiplier") * dead_time
+    return _checked(make, "problem", **models,
+                    truncation=_number(p, "assessment.p", whole=True))
 
 
 def _parse_tlbo(doc: dict, seed_override: int | None) -> TlboConfig:
     t = _section(doc, "tlbo")
-    bounds = t.get("bounds", [-50.0, 50.0])
-    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-        raise ProblemFileError("field 'tlbo.bounds' must be [lower, upper]")
-    try:
-        return TlboConfig(
-            dimensions=3,
-            population=int(t.get("np", 20)),
-            lower=float(bounds[0]),
-            upper=float(bounds[1]),
-            termination_window=int(t.get("window", 20)),
-            termination_tol=float(t.get("tol", 1e-7)),
-            max_iterations=int(t.get("max_iters", 2000)),
-            seed=int(seed_override if seed_override is not None else t.get("seed", 0)),
-        )
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ProblemFileError(f"section 'tlbo': {exc}") from exc
+    lower, upper = _numbers(t.get("bounds", [-50.0, 50.0]), "tlbo.bounds", 2)
+    seed = seed_override if seed_override is not None else t.get("seed", 0)
+    return _checked(TlboConfig, "section 'tlbo'", dimensions=3, lower=lower, upper=upper,
+                    population=_number(t.get("np", 20), "tlbo.np", whole=True),
+                    termination_window=_number(t.get("window", 20), "tlbo.window", whole=True),
+                    termination_tol=_number(t.get("tol", 1e-7), "tlbo.tol"),
+                    max_iterations=_number(t.get("max_iters", 2000), "tlbo.max_iters", whole=True),
+                    seed=_number(seed, "tlbo.seed", whole=True))
 
 
 def _parse_mc(doc: dict) -> McConfig:
     m = _section(doc, "mc")
-    try:
-        return McConfig(
-            samples=int(m.get("samples", MC_DEFAULT_SAMPLES)),
-            burn_in=m.get("burn_in"),
-            seed=int(m.get("seed", 0)),
-            correlation_mode=m.get("mode", "fully_correlated"),
-        )
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ProblemFileError(f"section 'mc': {exc}") from exc
+    burn_in = m.get("burn_in")
+    if burn_in is not None:
+        burn_in = _number(burn_in, "mc.burn_in", whole=True)
+    return _checked(McConfig, "section 'mc'", burn_in=burn_in,
+                    samples=_number(m.get("samples", MC_DEFAULT_SAMPLES), "mc.samples",
+                                    whole=True),
+                    seed=_number(m.get("seed", 0), "mc.seed", whole=True),
+                    correlation_mode=m.get("mode", "fully_correlated"))
 
 
 def _parse_tuning(doc: dict, loop) -> tuple[TuningProblem, list[float] | None, list]:
     t = _section(doc, "tuning")
-    try:
-        rho = float(t.get("rho", 0.0))
-        sweep = t.get("rho_sweep")
-        if sweep is not None:
-            if not isinstance(sweep, (list, tuple)) or not sweep:
-                raise ProblemFileError("field 'tuning.rho_sweep' must be a non-empty list")
-            sweep = [float(r) for r in sweep]
-            if any(r < 0 for r in sweep):
-                raise ProblemFileError("field 'tuning.rho_sweep' entries must be >= 0")
-        if rho < 0:
-            raise ProblemFileError("field 'tuning.rho' must be >= 0")
-        horizon = t.get("horizon")
-        problem = TuningProblem(
-            loop=loop,
-            weight=rho,
-            horizon=None if horizon is None else int(horizon),
-            sample_time=float(t.get("sample_time", 1.0)),
-            setpoint=float(t.get("setpoint", 1.0)),
-        )
-        stages = []
-        for i, st in enumerate(t.get("multistage", [])):
-            if not isinstance(st, dict) or "params" not in st:
-                raise ProblemFileError(f"tuning.multistage[{i}] needs a 'params' field")
-            stages.append((tuple(float(v) for v in st["params"]), int(st.get("switch", 0))))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ProblemFileError(f"section 'tuning': {exc}") from exc
+    sweep = t.get("rho_sweep")
+    if sweep is not None:
+        sweep = _numbers(sweep, "tuning.rho_sweep")
+        if any(r < 0 for r in sweep):
+            raise ProblemFileError("section 'tuning': field 'rho_sweep' entries must be >= 0")
+    horizon = t.get("horizon")
+    if horizon is not None:
+        horizon = _number(horizon, "tuning.horizon", whole=True)
+    problem = _checked(TuningProblem, "section 'tuning'", loop=loop, horizon=horizon,
+                       weight=_number(t.get("rho", 0.0), "tuning.rho"),
+                       sample_time=_number(t.get("sample_time", 1.0), "tuning.sample_time"),
+                       setpoint=_number(t.get("setpoint", 1.0), "tuning.setpoint"))
+    schedule = t.get("multistage", [])
+    if not isinstance(schedule, list):
+        raise ProblemFileError("section 'tuning': field 'multistage' must be a list of stages")
+    stages = []
+    for i, st in enumerate(schedule):
+        where = f"tuning.multistage[{i}]"
+        if not isinstance(st, dict):
+            raise ProblemFileError(f"{_field(where)} must be a mapping")
+        stages.append((tuple(_numbers(st.get("params"), f"{where}.params", 3)),
+                       _number(st.get("switch", 0), f"{where}.switch", whole=True)))
+    if stages:
+        _checked(_stage_bounds, "section 'tuning': field 'multistage'",
+                 stage_params=stages, horizon=problem.horizon)
     return problem, sweep, stages
 
 
 def _out_dir(args) -> Path:
     return Path(args.out) if args.out else Path.cwd()
-
-
-def _params_from_flag(text: str, n: int = 3):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise ProblemFileError(f"--params needs {n} comma-separated values")
-    return [float(p) for p in parts]
 
 
 def _mc_validation(loop, k: np.ndarray, mc_cfg: McConfig) -> dict:
@@ -306,9 +304,8 @@ def cmd_tune(args) -> int:
     stem = Path(args.file).stem
 
     if args.multistage:
-        if len(stages) < 1:
-            print("problem file has no tuning.multistage stages", file=sys.stderr)
-            return EXIT_USAGE
+        if not stages:
+            raise ProblemFileError("problem file has no tuning.multistage stages")
         record = simulate_multistage(problem, stages)
         write_series_csv(out / f"{stem}_multistage_series.csv", record)
         payload = {
@@ -326,10 +323,13 @@ def cmd_tune(args) -> int:
         return EXIT_OK
 
     if args.rho_sweep and sweep is None:
-        print("problem file has no tuning.rho_sweep", file=sys.stderr)
-        return EXIT_USAGE
+        raise ProblemFileError("problem file has no tuning.rho_sweep")
     rhos = sweep if args.rho_sweep else None
-    report = tune(problem, cfg, runs=runs, rho_sweep=rhos)
+    try:
+        report = tune(problem, cfg, runs=runs, rho_sweep=rhos)
+    except AssessmentError as exc:
+        print(f"tuning failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     write_json(out / f"{stem}_tune.json", report.to_dict())
     if args.format == "csv":
         write_csv(out / f"{stem}_tune.csv", report.csv_rows())
@@ -341,21 +341,14 @@ def cmd_tune(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    problems = None
-    if args.problems:
-        try:
-            problems = [int(p) for p in args.problems.split(",") if p]
-        except ValueError:
-            print(f"--problems must be comma-separated ids, got {args.problems!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    problems = [_number(p, "--problems", whole=True)
+                for p in (args.problems or "").split(",") if p]
     cfg = TlboConfig(dimensions=3, seed=args.seed if args.seed is not None else 0)
     runs = args.runs if args.runs is not None else 5
     try:
         report = run_benchmark_suite(cfg, repetitions=runs, problems=problems)
     except KeyError as exc:
-        print(str(exc.args[0]), file=sys.stderr)
-        return EXIT_USAGE
+        raise ProblemFileError(exc.args[0]) from exc
     out = _out_dir(args)
     write_json(out / "bench_suite.json", report.to_dict())
     write_csv(out / "bench_suite.csv", report.csv_rows())
@@ -372,7 +365,7 @@ def cmd_validate(args) -> int:
         mc_cfg = replace(mc_cfg, samples=args.samples, burn_in=None)
     if args.mode:
         mc_cfg = replace(mc_cfg, correlation_mode=args.mode)
-    params = np.asarray(_params_from_flag(args.params))
+    params = np.asarray(_numbers(args.params.replace(",", " ").split(), "--params", 3))
     try:
         block = _mc_validation(loop, params, mc_cfg)
     except McStabilityError as exc:
@@ -393,13 +386,10 @@ def cmd_validate(args) -> int:
 def _int_at_least(low: int, what: str):
     """argparse type of an integer flag no smaller than ``low``."""
     def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            n = low - 1
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return n
+        with suppress(ProblemFileError):
+            if (n := _number(text, "", whole=True)) >= low:
+                return n
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
 
     return parse
 

@@ -197,6 +197,11 @@ class SuiteRow:
     mean_elapsed_s: float
     reference_time_s: float
 
+    @property
+    def ok(self) -> bool:
+        """The row's verdict: MOV and its spread within tolerance, BKMOV beaten."""
+        return self.mov_ok and self.std_ok and self.beats_bkmov
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -210,7 +215,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.mov_ok and r.std_ok and r.beats_bkmov for r in self.rows)
+        return all(r.ok for r in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -229,7 +234,7 @@ class SuiteReport:
             "|---:|---:|---:|---:|---:|---:|---:|---:|---:|:--|",
         ]
         for r in self.rows:
-            ok = "yes" if (r.mov_ok and r.std_ok and r.beats_bkmov) else "NO"
+            ok = "yes" if r.ok else "NO"
             lines.append(
                 f"| {r.problem_id} | {r.mv_computed:.4f} | {r.mv_reference:.4f} "
                 f"| {r.mov_mean:.6g} | {r.mov_std:.2e} | {r.mov_worst:.6g} "
@@ -253,7 +258,7 @@ class SuiteReport:
                 "mov_ref": f"{r.mov_reference:.6g}",
                 "bkmov": f"{r.bkmov:.6g}",
                 "time_s": f"{r.mean_elapsed_s:.4f}",
-                "ok": str(r.mov_ok and r.std_ok and r.beats_bkmov),
+                "ok": str(r.ok),
             }
             for i, (m, ref) in enumerate(zip(r.params_mean, r.params_reference), 1):
                 row[f"k{i}_mean"] = f"{m:.6g}"

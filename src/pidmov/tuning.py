@@ -22,7 +22,8 @@ from scipy.signal import lfilter, lfiltic
 
 from .cascade import CascadeProblem
 from .reports import TuningReport, TuningRow
-from .singleloop import SingleLoopProblem, _LoopKernel, seeded_runs, summarize_problem
+from .singleloop import (AssessmentError, SingleLoopProblem, _LoopKernel, seeded_runs,
+                         summarize_problem)
 from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty
 
 DIVERGENCE_LIMIT_FACTOR = 1e6   # |y| beyond this multiple of the setpoint -> unstable
@@ -256,7 +257,7 @@ def tune(
         results = seeded_runs(tuning_objective(sub), cfg, runs)
         best = min(results, key=lambda r: r.best_fitness)
         if best.best_fitness >= DIVERGENCE_SENTINEL:
-            raise RuntimeError(f"tuning failed to stabilize the loop at rho={rho}")
+            raise AssessmentError(f"no candidate stabilized the loop at rho={rho}")
         record = simulate_step(sub, best.best_point)
         radius = kernel.radius(best.best_point)
         _check_settling(radius, problem.horizon, rho)

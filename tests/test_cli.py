@@ -199,6 +199,31 @@ def test_count_flags_reject_non_positive_values(tmp_path, capsys, argv):
     pytest.param(["assess"], "tlbo", [1, 2], id="tlbo-list"),
     pytest.param(["assess"], "assessment", "p", id="assessment-string"),
     pytest.param(["assess", "--validate"], "mc", 5, id="mc-number"),
+    # a fraction where a whole number is due
+    *[pytest.param(["assess"], "tlbo", {key: 20.5}, id=f"tlbo-{key}-fraction")
+      for key in ("np", "window", "max_iters", "seed")],
+    *[pytest.param(["assess", "--validate"], "mc", {"samples": 20000, key: 1.5},
+                   id=f"mc-{key}-fraction") for key in ("seed", "burn_in")],
+    pytest.param(["assess", "--validate"], "mc", {"samples": 20000.5}, id="mc-samples-fraction"),
+    pytest.param(["tune"], "tuning", {"horizon": 120.8}, id="tuning-horizon-fraction"),
+    pytest.param(["tune"], "tuning", {"multistage": [{"params": [1, 2, 3], "switch": 0.9}]},
+                 id="tuning-switch-fraction"),
+    pytest.param(["assess"], "process", {**BENCH1["process"], "delay": 5.9},
+                 id="process-delay-fraction"),
+    pytest.param(["assess"], "assessment", {"p": 40.7}, id="assessment-p-fraction"),
+    # a number that is not finite
+    pytest.param(["assess"], "tlbo", {"bounds": [float("-inf"), float("inf")]},
+                 id="tlbo-bounds-inf"),
+    pytest.param(["tune"], "tuning", {"setpoint": float("nan")}, id="tuning-setpoint-nan"),
+    pytest.param(["assess"], "noise", {"variance": float("nan")}, id="noise-variance-nan"),
+    # a schedule _stage_bounds or the three gains reject
+    pytest.param(["tune"], "tuning", {"horizon": 200, "multistage": [
+        {"params": [1, 2, 3], "switch": 0}, {"params": [1, 2, 4], "switch": 200}]},
+                 id="tuning-switch-past-horizon"),
+    pytest.param(["tune"], "tuning", {"multistage": [{"params": [1, 2, 3], "switch": 5}]},
+                 id="tuning-first-switch"),
+    pytest.param(["tune"], "tuning", {"multistage": [{"params": [1, 2], "switch": 0}]},
+                 id="tuning-two-number-stage"),
 ])
 def test_malformed_section_is_usage_error(tmp_path, capsys, argv, section, value):
     base = AIR if argv[0] == "tune" else BENCH1
@@ -214,6 +239,14 @@ def test_malformed_section_is_usage_error(tmp_path, capsys, argv, section, value
 def test_quoted_p_multiplier_parses_as_a_number():
     # a string times the dead time was a repeated string: "8" read as p = 88888
     assert _parse_loop({**BENCH1, "assessment": {"p_multiplier": "8"}}).truncation == 40
+
+
+def test_twenty_digit_seed_is_reported_exactly(tmp_path):
+    # a whole number that never goes through float keeps every digit
+    path = write(tmp_path, {**BENCH1, "tlbo": {"seed": 12345678901234567890}})
+    assert main(["assess", str(path), "--runs", "1", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "problem_assess.json").read_text())
+    assert payload["optimizer"]["seed"] == 12345678901234567890
 
 
 def test_tune_multistage_writes_composite_series(tmp_path, capsys):
@@ -348,26 +381,56 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-@pytest.mark.parametrize("argv, doc", [
-    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"seed": -1}}, id="tlbo-seed"),
-    pytest.param(["assess", "{file}", "--seed", "-1"], BENCH1, id="assess-flag"),
-    pytest.param(["tune", "{file}", "--seed", "-1"], AIR, id="tune-flag"),
-    pytest.param(["bench", "--problems", "8", "--seed", "-1"], BENCH1, id="bench-flag"),
+# problem 3's model: two candidates and one phase find no stabilizing gains
+PROBLEM3 = {
+    "process": {"num": [0.5108], "den": [1.0, -0.9604], "delay": 28},
+    "disturbance": {"num": [0.5108], "den": [1.0, -0.9604]},
+}
+
+
+def _directory(path):
+    path.mkdir()
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff{}")
+
+
+@pytest.mark.parametrize("argv, doc, expected", [
+    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"seed": -1}}, 2, id="tlbo-seed"),
+    pytest.param(["assess", "{file}", "--seed", "-1"], BENCH1, 2, id="assess-flag"),
+    pytest.param(["tune", "{file}", "--seed", "-1"], AIR, 2, id="tune-flag"),
+    pytest.param(["bench", "--problems", "8", "--seed", "-1"], BENCH1, 2, id="bench-flag"),
     pytest.param(["assess", "{file}", "--validate"],
-                 {**BENCH1, "mc": {"samples": 20000, "seed": -1}}, id="mc-seed"),
+                 {**BENCH1, "mc": {"samples": 20000, "seed": -1}}, 2, id="mc-seed"),
     pytest.param(["validate", "{file}", "--params", "2.8408,-4.4059,1.7486"],
-                 {**BENCH1, "mc": {"samples": 20000, "seed": -1}}, id="validate-mc-seed"),
-    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"max_iters": 0}},
+                 {**BENCH1, "mc": {"samples": 20000, "seed": -1}}, 2, id="validate-mc-seed"),
+    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"max_iters": 0}}, 2,
                  id="tlbo-max_iters"),
+    pytest.param(["validate", "{file}", "--params", "a,b,c"], BENCH1, 2,
+                 id="validate-params-text"),
+    pytest.param(["validate", "{file}", "--params", "inf,0,0"], BENCH1, 2,
+                 id="validate-params-inf"),
+    pytest.param(["bench", "--problems", "1,x"], BENCH1, 2, id="bench-problems-text"),
+    pytest.param(["tune", "{file}"], {**PROBLEM3, "tlbo": {"np": 2, "max_iters": 1, "seed": 3},
+                                      "tuning": {"horizon": 400}}, 1,
+                 id="tune-no-stable-candidate"),
+    pytest.param(["assess", "{file}"], _directory, 2, id="problem-path-is-a-directory"),
+    pytest.param(["assess", "{file}"], _not_utf8, 2, id="problem-file-not-utf8"),
 ])
-def test_negative_seed_and_no_phase_are_usage_errors(tmp_path, capsys, argv, doc):
-    path = write(tmp_path, doc)
+def test_negative_seed_and_no_phase_are_usage_errors(tmp_path, capsys, argv, doc, expected):
+    path = tmp_path / "problem.json"
+    if callable(doc):       # a path that exists but does not read as a document
+        doc(path)
+    else:
+        write(tmp_path, doc)
     code = _exit_code([a.format(file=path) for a in argv]
                       + ["--runs", "1"] * (argv[0] != "validate") + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == expected
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert len([line for line in err.splitlines()
+                if "error:" in line or " failed:" in line]) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
 
 
