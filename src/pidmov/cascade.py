@@ -79,6 +79,7 @@ def cascade_objective(problem: CascadeProblem):
     def fn(k: np.ndarray) -> float:
         return kernel.variance(k)
 
+    fn.batch = kernel.variance_batch
     return fn
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import lfilter
@@ -140,7 +141,6 @@ class _LoopKernel:
                               for v in (self.base, self.inner))
         self._fb = np.column_stack(
             [np.pad(self.path, (i, size - self.path.size - i)) for i in range(m)])
-        self._unit = None
 
     def closed_loop(self, ks):
         """kappa, P and A_cl of one gain set."""
@@ -174,13 +174,34 @@ class _LoopKernel:
         f0, f1 = forcing
         return lfilter([1.0], a_cl, f0 + kappa * f1)
 
+    @cached_property
+    def _unit(self):
+        """f0, f1 and the scale of the variance objective; in the cascade, with
+        fully correlated shocks, those of s1 phi1 + s2 phi2."""
+        if self.single:
+            return (*self.forcing([1.0]), self.loop.noise_variance)
+        return (*self.forcing(np.sqrt(self.loop.noise_variances)), 1.0)
+
+    def _variance(self, a_cl, forcing) -> float:
+        """Truncated variance of one closed loop driven by its forcing
+        f0 + kappa f1, penalized where it diverges."""
+        return guarded_variance(lfilter([1.0], a_cl, forcing), self._unit[2])
+
     def variance(self, ks) -> float:
-        """Truncated output variance of one gain set, penalized where it diverges;
-        in the cascade, with fully correlated shocks, that of s1 phi1 + s2 phi2."""
-        if self._unit is None:      # forcing and scale, built on first use
-            self._unit = ((self.forcing([1.0]), self.loop.noise_variance) if self.single
-                          else (self.forcing(np.sqrt(self.loop.noise_variances)), 1.0))
-        return guarded_variance(self.shock(ks, self._unit[0]), self._unit[1])
+        """Truncated output variance of one gain set."""
+        kappa, _, a_cl = self.closed_loop(ks)
+        f0, f1, _ = self._unit
+        return self._variance(a_cl, f0 + kappa * f1)
+
+    def variance_batch(self, ks) -> np.ndarray:
+        """``variance`` of every row of an (n, 3) gain matrix, bit for bit,
+        with A_cl and the forcing of the whole batch each one expression."""
+        ks = np.asarray(ks, dtype=float)
+        kappa, p = (np.ones(len(ks)), ks) if self.single else (ks[:, 2], ks[:, :2])
+        a_cl = self._a0 + kappa[:, None] * (self._a1 + p @ self._fb.T)
+        f0, f1, _ = self._unit
+        return np.array([self._variance(a, f)
+                         for a, f in zip(a_cl, f0 + kappa[:, None] * f1)])
 
     def radius(self, ks) -> float:
         """Largest |root| of A_cl under one gain set."""
@@ -206,13 +227,15 @@ def closed_loop_radius(loop, params) -> float:
 def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
     """phi'phi * sigma^2 with an order-preserving penalty where float64
     overflows; divergence that overflows earlier ranks worse."""
+    # vdot is the ddot of phi @ phi, but it raises no overflow warning on a
+    # diverging phi; only a non-finite sum pays for the scan
+    v = float(np.vdot(phi, phi)) * noise_variance
+    if math.isfinite(v):
+        return v
     bad = ~np.isfinite(phi)
     if bad.any():
         return divergence_penalty(int(np.argmax(bad)), phi.size)
-    v = float(phi @ phi) * noise_variance
-    if not math.isfinite(v):
-        return DIVERGENCE_SENTINEL
-    return v
+    return DIVERGENCE_SENTINEL
 
 
 def cpa_objective(problem: SingleLoopProblem):
@@ -222,6 +245,7 @@ def cpa_objective(problem: SingleLoopProblem):
     def fn(k: np.ndarray) -> float:
         return kernel.variance(k)
 
+    fn.batch = kernel.variance_batch
     return fn
 
 

@@ -4,7 +4,8 @@ Two phases per teaching cycle. Teacher phase moves every learner toward the
 best individual relative to the scaled population mean; learner phase moves
 each learner toward (or away from) a random partner. Each phase is one
 evaluate-and-accept step: the moved learners are clipped to the box,
-evaluated, and each move is kept where it improves its learner.
+evaluated (in one call where the objective has a ``batch``), and each move
+is kept where it improves its learner.
 """
 
 from __future__ import annotations
@@ -75,17 +76,23 @@ def minimize(objective, cfg: TlboConfig) -> OptResult:
 
     Deterministic for a given config. Candidates evaluating to NaN are
     rejected outright and counted in ``nan_evaluations``. The random factor
-    r is one scalar per learner, as the update laws are written.
+    r is one scalar per learner, as the update laws are written. An
+    objective with a ``batch`` attribute, mapping an (n, dimensions) array to
+    n values, is evaluated one population at a time through it.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     npop = cfg.population
     lo, hi = cfg.lower, cfg.upper
     nan_count = 0
+    batch = getattr(objective, "batch", None)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         nonlocal nan_count
-        f = np.array([float(objective(x)) for x in points])
+        if batch is None:
+            f = np.array([float(objective(x)) for x in points])
+        else:
+            f = np.array(batch(points), dtype=float)
         nan = np.isnan(f)
         nan_count += int(np.count_nonzero(nan))
         f[nan] = math.inf

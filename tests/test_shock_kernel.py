@@ -6,6 +6,8 @@ instances are kept when the closed loop, assembled independently in
 ``oracles.pole_radius``, has every pole inside radius 0.995.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from pidmov import (
     load_benchmark,
     load_case_study,
 )
+from pidmov.singleloop import _LoopKernel
 from pidmov.tlbo import DIVERGENCE_SENTINEL
 
 from oracles import dense_cascade, dense_closed_loop_single, pole_radius
@@ -191,3 +194,24 @@ def test_radius_flags_unstable_gains_the_variance_misses():
     assert r > 1.1
     # the truncated objective stays finite for this unstable loop
     assert cpa_objective(problem)(k) < DIVERGENCE_SENTINEL
+
+
+@pytest.mark.parametrize("loop", [
+    load_benchmark(1),
+    load_benchmark(3),      # the longest filter, p = 224
+    load_benchmark(8),
+    load_case_study("air_single").loop,
+    load_case_study("immersion_cascade").loop,
+], ids=["bench1", "bench3", "bench8", "air_single", "immersion_cascade"])
+def test_variance_batch_equals_scalar_bit_for_bit(loop):
+    kernel = _LoopKernel(loop)
+    ks = np.random.default_rng(12).uniform(-50.0, 50.0, size=(200, 3))
+    # the gains of the two overflow tests above, which diverge
+    grow = (lambda g: [g, 0.0, 0.0]) if kernel.single else (lambda g: [g, 0.0, 1.0])
+    ks = np.vstack([ks, [grow(1e100), grow(1e200)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [kernel.variance(k) for k in ks]
+        got = kernel.variance_batch(ks)
+    assert got.tolist() == want
+    assert min(want[-2:]) > DIVERGENCE_SENTINEL

@@ -117,6 +117,12 @@ def test_seeded_trajectory_is_pinned():
     assert [r["iterations"] for r in single.per_run] == [104, 100, 94, 96, 114]
     assert single.mov == close(3.072766425014991)
 
+    # problem 3 has the longest filter, p = 224
+    longest = assess_single(load_benchmark(3), cfg, runs=5)
+    assert longest.evaluations == 11180
+    assert [r["iterations"] for r in longest.per_run] == [114, 108, 114, 102, 116]
+    assert longest.mov == close(3.023249229350848)
+
     cascade = assess_cascade(load_case_study("immersion_cascade").loop, cfg, runs=5)
     assert cascade.evaluations == 14780
     assert [r["iterations"] for r in cascade.per_run] == [228, 100, 56, 198, 152]
@@ -136,6 +142,36 @@ def test_nan_candidates_rejected_and_counted():
     assert res.nan_evaluations > 0
     assert np.isfinite(res.best_fitness)
     assert res.best_point[0] <= 0
+
+
+class BatchOnly:
+    """An objective that ``minimize`` must evaluate through ``batch`` alone."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x):
+        raise AssertionError("called point by point although it has a batch")
+
+    def batch(self, points):
+        return np.array([self.fn(x) for x in points])
+
+
+def nan_right_of_zero(x):
+    return float("nan") if x[0] > 0 else float(x @ x)
+
+
+@pytest.mark.parametrize("fn", [sphere, nan_right_of_zero])
+def test_batch_objective_runs_the_same_trajectory(fn):
+    cfg = TlboConfig(dimensions=3, seed=31)
+    a = minimize(fn, cfg)
+    b = minimize(BatchOnly(fn), cfg)
+    assert np.array_equal(a.fitness_history, b.fitness_history)
+    assert np.array_equal(a.best_point, b.best_point)
+    assert (a.evaluations, a.nan_evaluations) == (b.evaluations, b.nan_evaluations)
+    if fn is nan_right_of_zero:
+        assert b.nan_evaluations > 0
+        assert b.best_point[0] <= 0
 
 
 def test_config_validation():
