@@ -23,7 +23,7 @@ import numpy as np
 from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport
 from .singleloop import _assess, _LoopKernel
-from .tlbo import TlboConfig
+from .tlbo import TlboConfig, whole
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ class CascadeProblem:
             raise ValueError("noise variances must be >= 0")
         object.__setattr__(self, "noise_variances", (float(v1), float(v2)))
         dsum = self.outer.delay + self.inner.delay
-        p = self.truncation if self.truncation is not None else 8 * dsum
+        p = whole(self.truncation, "truncation") if self.truncation is not None else 8 * dsum
         if p < dsum:
             raise ValueError(f"truncation p={p} shorter than the total dead time {dsum}")
-        object.__setattr__(self, "truncation", int(p))
+        object.__setattr__(self, "truncation", p)
 
 
 def cascade_impulse(problem: CascadeProblem, k: CascadeParams) -> np.ndarray:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .tlbo import whole
+
 
 @dataclass(frozen=True)
 class DiscreteTransferFunction:
@@ -31,15 +33,16 @@ class DiscreteTransferFunction:
             raise ValueError("numerator and denominator must be non-empty")
         if den[0] == 0.0:
             raise ValueError("leading denominator coefficient must be nonzero")
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
+        delay = whole(self.delay, "delay")
+        if delay < 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         if den[0] != 1.0:
             a0 = den[0]
             num = tuple(b / a0 for b in num)
             den = tuple(a / a0 for a in den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "delay", int(self.delay))
+        object.__setattr__(self, "delay", delay)
 
     def impulse_response(self, n: int) -> np.ndarray:
         """First n+1 impulse-response coefficients g(0..n).

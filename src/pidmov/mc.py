@@ -30,6 +30,7 @@ from scipy.signal import lfilter
 from .cascade import CascadeParams, CascadeProblem, cascade_impulse
 from .lti import DiscreteTransferFunction
 from .singleloop import ReducedPidParams, SingleLoopProblem, closed_loop_impulse
+from .tlbo import whole
 
 CHAIN_SAMPLES = 10_000
 DIVERGENCE_LIMIT = 1e9
@@ -48,14 +49,17 @@ class McConfig:
     correlation_mode: str = "independent"  # cascade only; or "fully_correlated"
 
     def __post_init__(self):
-        burn = self.burn_in if self.burn_in is not None else self.samples // 10
+        for name in ("samples", "seed"):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
+        burn = (whole(self.burn_in, "burn_in") if self.burn_in is not None
+                else self.samples // 10)
         if self.samples <= burn or burn < 0:
             raise ValueError("need samples > burn_in >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.correlation_mode not in ("independent", "fully_correlated"):
             raise ValueError(f"unknown correlation mode {self.correlation_mode!r}")
-        object.__setattr__(self, "burn_in", int(burn))
+        object.__setattr__(self, "burn_in", burn)
         _, length, chain_burn = self.layout
         if length <= chain_burn:
             raise ValueError(f"chains of {length} samples keep none after "

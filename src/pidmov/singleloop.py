@@ -14,6 +14,10 @@ with nbar the disturbance impulse response, so its first p samples are one
 ``lfilter`` call over a forcing that is fixed per problem. The truncated
 output variance phi'phi * sigma_a^2 is the objective the optimizer drives
 down.
+
+Every closed-loop filter here goes through ``_filter``, which calls the C
+routine behind ``scipy.signal.lfilter`` directly: that is private scipy API
+(checked equal to ``lfilter`` on scipy 1.17.1, see tests/test_filter.py).
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import _sigtools
 
 from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport, run_entry
-from .tlbo import DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, minimize
+from .tlbo import (DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, minimize,
+                   whole)
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,24 @@ class SingleLoopProblem:
             raise ValueError("process dead time must be >= 1 sample")
         if self.noise_variance < 0:
             raise ValueError("noise variance must be >= 0")
-        p = self.truncation if self.truncation is not None else 8 * self.process.delay
+        p = (whole(self.truncation, "truncation") if self.truncation is not None
+             else 8 * self.process.delay)
         if p < self.process.delay:
             raise ValueError(
                 f"truncation p={p} shorter than the process dead time "
                 f"d={self.process.delay}"
             )
-        object.__setattr__(self, "truncation", int(p))
+        object.__setattr__(self, "truncation", p)
+
+
+_ONE = np.ones(1)
+
+
+def _filter(a_cl: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """1/A_cl applied to x along its last axis: the call ``lfilter([1.0],
+    a_cl, x)`` makes when A_cl has two or more coefficients, as every A_cl
+    here has, without its Python wrapper."""
+    return _sigtools._linear_filter(_ONE, a_cl, x, -1)
 
 
 def _delayed(tf) -> np.ndarray:
@@ -142,11 +158,16 @@ class _LoopKernel:
         self._fb = np.column_stack(
             [np.pad(self.path, (i, size - self.path.size - i)) for i in range(m)])
 
-    def closed_loop(self, ks):
-        """kappa, P and A_cl of one gain set."""
+    def closed_loop_batch(self, ks):
+        """kappa, P and A_cl of every row of an (n, 3) gain matrix, each one
+        expression over the batch."""
         ks = np.asarray(ks, dtype=float)
-        kappa, p = (1.0, ks) if self.single else (ks[2], ks[:2])
-        return kappa, p, self._a0 + kappa * (self._a1 + self._fb @ p)
+        kappa, p = (np.ones(len(ks)), ks) if self.single else (ks[:, 2], ks[:, :2])
+        return kappa, p, self._a0 + kappa[:, None] * (self._a1 + p @ self._fb.T)
+
+    def closed_loop(self, ks):
+        """kappa, P and A_cl of one gain set: a batch of one row."""
+        return tuple(v[0] for v in self.closed_loop_batch(np.asarray(ks, dtype=float)[None]))
 
     def forcing(self, weights) -> tuple[np.ndarray, np.ndarray]:
         """f0 and f1 with sum_j weights[j] phi_j = (1/A_cl)(f0 + kappa f1);
@@ -172,7 +193,7 @@ class _LoopKernel:
         gain set, over the truncation."""
         kappa, _, a_cl = self.closed_loop(ks)
         f0, f1 = forcing
-        return lfilter([1.0], a_cl, f0 + kappa * f1)
+        return _filter(a_cl, f0 + kappa * f1)
 
     @cached_property
     def _unit(self):
@@ -182,26 +203,18 @@ class _LoopKernel:
             return (*self.forcing([1.0]), self.loop.noise_variance)
         return (*self.forcing(np.sqrt(self.loop.noise_variances)), 1.0)
 
-    def _variance(self, a_cl, forcing) -> float:
-        """Truncated variance of one closed loop driven by its forcing
-        f0 + kappa f1, penalized where it diverges."""
-        return guarded_variance(lfilter([1.0], a_cl, forcing), self._unit[2])
+    def variance_batch(self, ks) -> np.ndarray:
+        """Truncated output variance of every row of an (n, 3) gain matrix,
+        penalized where it diverges: one filter of the row's forcing
+        f0 + kappa f1 (one expression over the batch) through its 1/A_cl."""
+        kappa, _, a_cl = self.closed_loop_batch(ks)
+        f0, f1, scale = self._unit
+        return np.array([guarded_variance(_filter(a, f), scale)
+                         for a, f in zip(a_cl, f0 + kappa[:, None] * f1)])
 
     def variance(self, ks) -> float:
-        """Truncated output variance of one gain set."""
-        kappa, _, a_cl = self.closed_loop(ks)
-        f0, f1, _ = self._unit
-        return self._variance(a_cl, f0 + kappa * f1)
-
-    def variance_batch(self, ks) -> np.ndarray:
-        """``variance`` of every row of an (n, 3) gain matrix, bit for bit,
-        with A_cl and the forcing of the whole batch each one expression."""
-        ks = np.asarray(ks, dtype=float)
-        kappa, p = (np.ones(len(ks)), ks) if self.single else (ks[:, 2], ks[:, :2])
-        a_cl = self._a0 + kappa[:, None] * (self._a1 + p @ self._fb.T)
-        f0, f1, _ = self._unit
-        return np.array([self._variance(a, f)
-                         for a, f in zip(a_cl, f0 + kappa[:, None] * f1)])
+        """Truncated output variance of one gain set: a batch of one row."""
+        return float(self.variance_batch(np.asarray(ks, dtype=float)[None])[0])
 
     def radius(self, ks) -> float:
         """Largest |root| of A_cl under one gain set."""

@@ -22,6 +22,16 @@ import numpy as np
 DIVERGENCE_SENTINEL = 1e290
 
 
+def whole(value, name: str) -> int:
+    """``value`` as an int where it is a whole number, an int or an integral
+    float (the rule the CLI reads counts by); a ValueError otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def divergence_penalty(j: int, n: int) -> float:
     """Sentinel-family penalty of a divergence at sample j of n; earlier ranks worse."""
     return DIVERGENCE_SENTINEL * (1.0 + (n - j) / n)
@@ -39,6 +49,9 @@ class TlboConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dimensions", "population", "termination_window",
+                     "max_iterations", "seed"):
+            setattr(self, name, whole(getattr(self, name), name))
         if self.dimensions < 1:
             raise ValueError("dimensions must be >= 1")
         if self.population < 2:

@@ -22,9 +22,9 @@ from scipy.signal import lfilter, lfiltic
 
 from .cascade import CascadeProblem
 from .reports import TuningReport, TuningRow
-from .singleloop import (AssessmentError, SingleLoopProblem, _LoopKernel, seeded_runs,
-                         summarize_problem)
-from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty
+from .singleloop import (AssessmentError, SingleLoopProblem, _filter, _LoopKernel,
+                         seeded_runs, summarize_problem)
+from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty, whole
 
 DIVERGENCE_LIMIT_FACTOR = 1e6   # |y| beyond this multiple of the setpoint -> unstable
 
@@ -44,12 +44,13 @@ class TuningProblem:
             raise ValueError("sample_time must be > 0")
         if self.setpoint == 0:
             raise ValueError("setpoint amplitude must be nonzero")
-        n = self.horizon
-        if n is None:
+        if self.horizon is None:
             n = 200 if isinstance(self.loop, SingleLoopProblem) else 300
+        else:
+            n = whole(self.horizon, "horizon")
         if n < 2:
             raise ValueError("horizon must be >= 2 samples")
-        object.__setattr__(self, "horizon", int(n))
+        object.__setattr__(self, "horizon", n)
 
 
 @dataclass
@@ -120,8 +121,40 @@ def _stage_bounds(stage_params, horizon) -> list[tuple[int, int]]:
 def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
     """1/A_cl applied to x, continuing from the earlier outputs ``past``."""
     if not past.size:
-        return lfilter([1.0], a_cl, x)
+        return _filter(a_cl, x)
     return lfilter([1.0], a_cl, x, zi=lfiltic([1.0], a_cl, past[::-1]))[0]
+
+
+def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
+           e: np.ndarray, y2: np.ndarray, s: int = 0, corr=None) -> int | None:
+    """Run the step loop under one gain set from sample s to the end of
+    ``e``: fill e[s:] with the tracking error r - y and, in the cascade,
+    y2[s:] with the inner output, both continuing from the samples before
+    s. Return the first sample where an output left its divergence limit or
+    was not finite, or None. Call it inside ``np.errstate`` that ignores
+    overflow and invalid operations.
+
+    The forcing of e is amplitude (base + kappa inner), a finite pulse; at a
+    switch s > 0, ``corr`` carries the (1 - q^-1) c_u correction of the
+    control (see ``_step_response``).
+    """
+    limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
+    stop = e.size
+    lead = kernel.base + kappa * kernel.inner
+    x = np.zeros(stop)
+    x[: lead.size] = amplitude * lead[:stop]
+    if s:
+        x -= np.convolve(kernel.path, corr)[:stop]
+    e[s:] = _resume(a_cl, x[s:], e[:s])
+    kept = np.abs(amplitude - e[s:]) <= limit
+    if not kernel.single:
+        f = kappa * amplitude * np.convolve(p, np.ones(stop))[:stop]
+        if s:
+            f += corr
+        y2[s:] = _resume(a_cl, np.convolve(kernel.inner, f)[s:stop], y2[:s])
+        # the inner output may run 100x further before the loop counts as lost
+        kept &= np.abs(y2[s:]) <= 100.0 * limit
+    return None if kept.all() else s + int(np.argmin(kept))
 
 
 def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
@@ -143,19 +176,16 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
     as the new gains' law plus a correction c_u on u, adds (1 - q^-1) c_u to
     the forcing, and the filters resume from the signals before s.
     """
-    limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
     # tracking error r - y, inner output (cascade only), and the integrator
     # increments and kappa actually applied
     e, y2, d_integ, kappas = np.zeros((4, horizon))
     for i, (ks, s) in enumerate(stages):
         stop = stages[i + 1][1] if i + 1 < len(stages) else horizon
-        with np.errstate(invalid="ignore"):      # non-finite gains diverge below
+        with np.errstate(invalid="ignore"):      # non-finite gains diverge in _stage
             kappa, p, a_cl = kernel.closed_loop(ks)
-            lead = kernel.base + kappa * kernel.inner
-        x = np.zeros(stop)
-        x[: lead.size] = amplitude * lead[:stop]
-        corr = np.zeros(stop)      # (1 - q^-1) c_u
+        corr = None
         if s:
+            corr = np.zeros(stop)      # (1 - q^-1) c_u
             w = 0.0 if kernel.single else y2[:s]
             integ = np.cumsum(d_integ[:s])
             integ_new = np.cumsum(np.convolve(p, e[:s])[:s])
@@ -163,17 +193,9 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
             c_u = np.append(kappas[:s] * (integ - w) - kappa * (integ_new - w),
                             kappa * (integ[-1] - integ_new[-1]))
             corr[: s + 1] = np.diff(c_u, prepend=0.0)
-            x -= np.convolve(kernel.path, corr)[:stop]
         with np.errstate(over="ignore", invalid="ignore"):
-            e[s:stop] = _resume(a_cl, x[s:stop], e[:s])
-            kept = np.abs(amplitude - e[s:stop]) <= limit
-            if not kernel.single:
-                f = kappa * amplitude * np.convolve(p, np.ones(stop))[:stop] + corr
-                y2[s:stop] = _resume(a_cl, np.convolve(kernel.inner, f)[s:stop], y2[:s])
-                # the inner output may run 100x further before the loop counts as lost
-                kept &= np.abs(y2[s:stop]) <= 100.0 * limit
-        if not kept.all():
-            t = s + int(np.argmin(kept))
+            t = _stage(kernel, kappa, p, a_cl, amplitude, e[:stop], y2[:stop], s, corr)
+        if t is not None:
             e[t + 1:] = amplitude
             return amplitude - e, t
         if stop < horizon:
@@ -204,23 +226,35 @@ def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
 
 
 def tuning_objective(problem: TuningProblem):
-    """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters."""
+    """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters;
+    ``fn.batch`` maps an (n, 3) gain matrix to its n values."""
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
     kernel = _LoopKernel(problem.loop)
 
-    def fn(k: np.ndarray) -> float:
-        y, diverged_at = _step_response(kernel, [(k, 0)], n, sp)
-        if diverged_at is not None:
-            return divergence_penalty(diverged_at, n)
-        iae = float(np.abs(sp - y).sum())    # _finish_record's sum, so J == record.iae
-        if rho == 0.0:
-            return iae
-        var = kernel.variance(k)
-        if var >= DIVERGENCE_SENTINEL:
-            return var
-        return iae + rho * var
+    def batch(ks) -> np.ndarray:
+        ks = np.asarray(ks, dtype=float)
+        out = np.empty(len(ks))
+        e, y2 = np.empty((2, n))
+        # non-finite gains and diverging loops are penalized, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa, p, a_cl = kernel.closed_loop_batch(ks)
+            for i in range(len(ks)):
+                t = _stage(kernel, kappa[i], p[i], a_cl[i], sp, e, y2)
+                # _finish_record's sum over _step_response's y, so J == record.iae
+                out[i] = (np.abs(sp - (sp - e)).sum() if t is None
+                          else divergence_penalty(t, n))
+            bounded = out < DIVERGENCE_SENTINEL
+            if rho != 0.0:
+                var = kernel.variance_batch(ks[bounded])
+                out[bounded] = np.where(var < DIVERGENCE_SENTINEL,
+                                        out[bounded] + rho * var, var)
+        return out
 
+    def fn(k: np.ndarray) -> float:
+        return float(batch(np.asarray(k, dtype=float)[None])[0])
+
+    fn.batch = batch
     return fn
 
 

@@ -40,6 +40,11 @@ def test_problem_validation():
             outer=tfd, inner=tfd, outer_disturbance=tf, inner_disturbance=tf,
             noise_variances=(-1.0, 1.0),
         )
+    with pytest.raises(ValueError, match="truncation must be a whole number"):
+        CascadeProblem(outer=tfd, inner=tfd, outer_disturbance=tf, inner_disturbance=tf,
+                       truncation=16.5)
+    assert CascadeProblem(outer=tfd, inner=tfd, outer_disturbance=tf, inner_disturbance=tf,
+                          truncation=16.0).truncation == 16
 
 
 def test_default_truncation_eight_total_dead_times():

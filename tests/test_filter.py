@@ -1,0 +1,55 @@
+"""``singleloop._filter`` calls scipy's private ``_sigtools._linear_filter``
+without ``lfilter``'s Python wrapper. It must give the bits of the public
+``lfilter([1.0], a_cl, x)`` for every A_cl the kernel can build: two or
+more coefficients, stable or not, and inputs that already hold inf or NaN."""
+
+import numpy as np
+import pytest
+from scipy.signal import lfilter
+
+from pidmov.singleloop import _filter
+
+
+def _polynomial(rng, order: int, stable: bool) -> np.ndarray:
+    """Real coefficients of a random polynomial in q^-1 of the given order:
+    its roots inside the unit circle, or one real root outside, in some
+    cases far enough for the output to overflow; the leading coefficient is
+    other than 1 in half the cases."""
+    roots = []
+    while len(roots) < order - 1:
+        r = rng.uniform(0.05, 0.95)
+        if len(roots) + 2 < order and rng.random() < 0.5:
+            z = r * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(r * rng.choice([-1.0, 1.0]))
+    last = rng.uniform(0.05, 0.95) if stable else rng.uniform(1.05, 6.0)
+    a = np.real(np.poly(roots + [last * rng.choice([-1.0, 1.0])]))
+    return a * (rng.uniform(0.5, 2.0) if rng.random() < 0.5 else 1.0)
+
+
+def _inputs(rng, n: int):
+    x = rng.normal(size=n)
+    yield x
+    for bad in (np.inf, -np.inf, np.nan):
+        y = x.copy()
+        y[rng.integers(n)] = bad
+        yield y
+    y = x.copy()
+    y[rng.integers(n, size=3)] = [np.nan, np.inf, -np.inf]
+    yield y
+    yield rng.normal(size=(2, n))       # the cascade's two shock rows at once
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("order", range(2, 31))
+def test_filter_equals_lfilter_bit_for_bit(order, stable):
+    rng = np.random.default_rng(1000 * order + stable)
+    for _ in range(5):
+        a_cl = _polynomial(rng, order, stable)
+        assert (np.abs(np.roots(a_cl)) < 1).all() == stable
+        for x in _inputs(rng, int(rng.integers(1, 400))):
+            want = lfilter([1.0], a_cl, x)
+            got = _filter(a_cl, x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -20,6 +20,9 @@ def test_zero_leading_denominator_rejected():
 def test_negative_delay_rejected():
     with pytest.raises(ValueError, match="delay"):
         DiscreteTransferFunction(num=(1.0,), den=(1.0,), delay=-1)
+    with pytest.raises(ValueError, match="delay must be a whole number"):
+        DiscreteTransferFunction(num=(1.0,), den=(1.0,), delay=2.5)
+    assert DiscreteTransferFunction(num=(1.0,), den=(1.0,), delay=2.0).delay == 2
 
 
 def test_empty_coefficients_rejected():

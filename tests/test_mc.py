@@ -28,6 +28,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed"):
         McConfig(samples=1000, seed=-1)
     assert McConfig(samples=1000).burn_in == 100
+    for bad in ({"samples": 1000.5}, {"burn_in": 10.5}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            McConfig(**{"samples": 1000, **bad})
+    assert McConfig(samples=1000.0, burn_in=10.0).burn_in == 10
 
 
 def test_static_disturbance_open_loop():

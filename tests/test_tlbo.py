@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pidmov import (TlboConfig, assess_cascade, assess_single, load_benchmark,
-                    load_case_study, minimize)
+                    load_case_study, minimize, tuning_objective)
+from pidmov.singleloop import seeded_runs
 
 
 def sphere(x):
@@ -128,6 +130,13 @@ def test_seeded_trajectory_is_pinned():
     assert [r["iterations"] for r in cascade.per_run] == [228, 100, 56, 198, 152]
     assert cascade.mov == close(0.0005499255512063868)
 
+    # the tuning objective: the air sweep's rho = 1e5 row, as tune runs it
+    air = replace(load_case_study("air_single"), weight=1e5)
+    runs = seeded_runs(tuning_objective(air), TlboConfig(dimensions=3, seed=606), 2)
+    assert [(r.iterations, r.evaluations) for r in runs] == [(152, 3060), (184, 3700)]
+    # the row's optimizer_fitness
+    assert min(r.best_fitness for r in runs) == close(8.83648515684565)
+
 
 def test_nan_candidates_rejected_and_counted():
     calls = {"n": 0}
@@ -191,6 +200,16 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_iterations"):
             TlboConfig(dimensions=2, max_iterations=n)
     assert TlboConfig(dimensions=2, seed=0, max_iterations=1).max_iterations == 1
+    # a fractional count would fail later, inside the optimizer
+    for name in ("dimensions", "population", "termination_window", "max_iterations",
+                 "seed"):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            TlboConfig(**{"dimensions": 3, name: 2.5})
+    with pytest.raises(ValueError, match="population must be a whole number"):
+        TlboConfig(dimensions=3, population=True)
+    cfg = TlboConfig(dimensions=3.0, population=np.int64(12), termination_window=20.0)
+    assert (cfg.dimensions, cfg.population, cfg.termination_window) == (3, 12, 20)
+    assert all(type(v) is int for v in (cfg.dimensions, cfg.population, cfg.seed))
 
 
 def test_rastrigin_multimodal_quality():

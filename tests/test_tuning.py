@@ -1,21 +1,27 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pidmov import (
+    CASE_STUDY_REFERENCE,
+    REFERENCE,
     DiscreteTransferFunction,
     SingleLoopProblem,
     TlboConfig,
     TuningProblem,
     cpa_objective,
+    load_benchmark,
     load_case_study,
     simulate_multistage,
     simulate_step,
     tune,
     tuning_objective,
 )
-from pidmov.tlbo import DIVERGENCE_SENTINEL
+from pidmov.singleloop import _LoopKernel
+from pidmov.tlbo import DIVERGENCE_SENTINEL, divergence_penalty
 
 from oracles import step_loop_single
 
@@ -40,6 +46,49 @@ def test_problem_validation():
         TuningProblem(loop=loop, sample_time=0.0)
     with pytest.raises(ValueError, match="setpoint"):
         TuningProblem(loop=loop, setpoint=0.0)
+    # whole-number fields take integral floats and reject the rest
+    with pytest.raises(ValueError, match="horizon must be a whole number"):
+        TuningProblem(loop=loop, horizon=150.7)
+    with pytest.raises(ValueError, match="truncation must be a whole number"):
+        replace(loop, truncation=40.9)
+    assert TuningProblem(loop=loop, horizon=150.0).horizon == 150
+    assert type(replace(loop, truncation=40.0).truncation) is int
+
+
+# Gains whose step sets off the divergence rule, the open loop, and rows the
+# optimizer never proposes but a caller may: non-finite and huge gains.
+EXTREME_ROWS = [[50.0, -50.0, 50.0], [-50.0, 50.0, -50.0], [0.0, 0.0, 0.0],
+                [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0], [-np.inf, 1.0, np.nan],
+                [1e200, 0.0, 1.0], [1.0, 1.0, 1e300]]
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e5, 1e7])
+@pytest.mark.parametrize("case", ["air_single", "bench1", "immersion_cascade"])
+def test_batch_objective_equals_scalar_and_step_record(case, rho):
+    if case == "bench1":
+        problem, published = TuningProblem(loop=load_benchmark(1)), REFERENCE[1].params
+    else:
+        problem, published = load_case_study(case), CASE_STUDY_REFERENCE[case][1][1]
+    problem = replace(problem, weight=rho)
+    rng = np.random.default_rng(13)
+    # near the published gains most rows stay bounded; farther out they diverge
+    ks = np.vstack([np.asarray(published) * (1.0 + rng.normal(0.0, s, (30, 3)))
+                    for s in (1e-3, 0.05, 0.5)] + [EXTREME_ROWS])
+    fn, kernel = tuning_objective(problem), _LoopKernel(problem.loop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn.batch(ks)
+        assert got.tolist() == [fn(k) for k in ks]
+        records = [simulate_step(problem, k) for k in ks]
+        bounded = 0
+        for k, rec, j in zip(ks, records, got):
+            if not rec.stable:
+                assert j == divergence_penalty(rec.diverged_at, problem.horizon)
+                continue
+            bounded += 1
+            var = kernel.variance(k) if rho else 0.0
+            assert j == (var if var >= DIVERGENCE_SENTINEL else rec.iae + rho * var)
+    assert 45 <= bounded < len(ks)
 
 
 def test_open_loop_iae_is_horizon_times_amplitude():
