@@ -18,7 +18,7 @@ from .cascade import CascadeProblem
 from .lti import DiscreteTransferFunction
 from .reports import SuiteReport, SuiteRow
 from .singleloop import AssessmentError, SingleLoopProblem, assess_single, mv_benchmark
-from .tlbo import TlboConfig
+from .tlbo import TlboConfig, whole
 from .tuning import TuningProblem
 
 SIGMA_ASSUMPTION = (
@@ -189,10 +189,10 @@ def run_benchmark_suite(
     Per-problem optimizer errors (``AssessmentError``) are recorded as failed
     rows, not raised, so one divergent problem cannot abort the suite.
     """
-    if repetitions < 1:
+    if (repetitions := whole(repetitions, "repetitions")) < 1:
         raise ValueError("repetitions must be >= 1")
     cfg = cfg or TlboConfig(dimensions=3)
-    ids = sorted(problems) if problems else sorted(_BENCHMARKS)
+    ids = sorted(set(problems or _BENCHMARKS))     # one row per id
     for i in ids:
         if i not in _BENCHMARKS:
             raise KeyError(f"unknown benchmark id {i}; valid ids are 1..10")

@@ -22,23 +22,15 @@ import numpy as np
 
 from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport
-from .singleloop import _assess, _LoopKernel
-from .tlbo import TlboConfig, whole
+from .singleloop import _assess, _Gains, _LoopKernel, _truncation
+from .tlbo import TlboConfig, finite
 
 
 @dataclass(frozen=True)
-class CascadeParams:
+class CascadeParams(_Gains):
     k4: float
     k5: float
     k6: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k4, self.k5, self.k6], dtype=float)
-
-    @classmethod
-    def from_array(cls, k) -> "CascadeParams":
-        k = np.asarray(k, dtype=float)
-        return cls(k4=float(k[0]), k5=float(k[1]), k6=float(k[2]))
 
 
 @dataclass(frozen=True)
@@ -53,15 +45,12 @@ class CascadeProblem:
     def __post_init__(self):
         if self.outer.delay < 1 or self.inner.delay < 1:
             raise ValueError("both loop dead times must be >= 1 sample")
-        v1, v2 = self.noise_variances
+        v1, v2 = (finite(v, "noise variance") for v in self.noise_variances)
         if v1 < 0 or v2 < 0:
             raise ValueError("noise variances must be >= 0")
-        object.__setattr__(self, "noise_variances", (float(v1), float(v2)))
-        dsum = self.outer.delay + self.inner.delay
-        p = whole(self.truncation, "truncation") if self.truncation is not None else 8 * dsum
-        if p < dsum:
-            raise ValueError(f"truncation p={p} shorter than the total dead time {dsum}")
-        object.__setattr__(self, "truncation", p)
+        object.__setattr__(self, "noise_variances", (v1, v2))
+        object.__setattr__(self, "truncation",
+                           _truncation(self.truncation, self.outer.delay + self.inner.delay))
 
 
 def cascade_impulse(problem: CascadeProblem, k: CascadeParams) -> np.ndarray:
@@ -71,16 +60,10 @@ def cascade_impulse(problem: CascadeProblem, k: CascadeParams) -> np.ndarray:
     return kernel.shock(k.as_array(), kernel.forcing(np.eye(2)))
 
 
-def cascade_objective(problem: CascadeProblem):
+def cascade_objective(problem: CascadeProblem) -> _LoopKernel:
     """Outer-output variance as a function of (k4, k5, k6), with fully
     correlated shocks: phi1'phi1 s1^2 + phi2'phi2 s2^2 + 2 phi1'phi2 s1 s2."""
-    kernel = _LoopKernel(problem)
-
-    def fn(k: np.ndarray) -> float:
-        return kernel.variance(k)
-
-    fn.batch = kernel.variance_batch
-    return fn
+    return _LoopKernel(problem)
 
 
 def assess_cascade(

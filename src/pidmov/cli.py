@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import suppress
 from dataclasses import replace
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tlbo
 from .benchmarks import run_benchmark_suite
 from .cascade import CascadeParams, CascadeProblem, assess_cascade
 from .lti import DiscreteTransferFunction
@@ -94,8 +94,8 @@ def _field(where: str) -> str:
 
 def _number(value, where: str, whole: bool = False):
     """The one reader of a number from a problem file or a flag: a finite
-    float, or an exact int where ``whole``. A quoted number reads as a
-    number (PyYAML reads ``1e5`` as a string)."""
+    float (``tlbo.finite``), or an exact int where ``whole`` (``tlbo.whole``).
+    A quoted number reads as a number (PyYAML reads ``1e5`` as a string)."""
     x = value
     if isinstance(x, str):
         try:
@@ -103,13 +103,11 @@ def _number(value, where: str, whole: bool = False):
         except ValueError:
             with suppress(ValueError):
                 x = float(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        if whole or abs(x) <= sys.float_info.max:
-            return x if whole else float(x)
-    elif isinstance(x, float) and math.isfinite(x) and (x.is_integer() or not whole):
-        return int(x) if whole else x
-    kind = "a whole number" if whole else "a finite number"
-    raise ProblemFileError(f"{_field(where)} must be {kind}, got {value!r}")
+    try:
+        return (tlbo.whole if whole else tlbo.finite)(x, where)
+    except ValueError:
+        kind = "a whole number" if whole else "a finite number"
+        raise ProblemFileError(f"{_field(where)} must be {kind}, got {value!r}") from None
 
 
 def _numbers(value, where: str, n: int | None = None) -> list[float]:
@@ -235,13 +233,18 @@ def _mc_validation(loop, k: np.ndarray, mc_cfg: McConfig) -> dict:
     return est.validation_block(float(phi1 @ phi1) * v1 + float(phi2 @ phi2) * v2)
 
 
-def _print_underpowered_note(block: dict) -> None:
-    """The pass/fail rule stays the fixed relative tolerance; this only says
-    when the estimate is too noisy for that rule to tell right from wrong."""
+def _verdict(block: dict) -> int:
+    """Print the underpowered note of a Monte-Carlo check, apply the relative
+    tolerance, say on stderr why it failed, and return the exit code."""
     if block["underpowered"]:
         print(f"note: underpowered, 3 standard errors are "
               f"{3 * block['standard_error'] / block['estimate']:.1%} of the estimate, "
               f"more than the {VALIDATION_RTOL:.0%} tolerance; raise the sample count")
+    if block["relative_error"] <= VALIDATION_RTOL:
+        return EXIT_OK
+    print("validation failed: Monte-Carlo disagrees with the analytic "
+          f"variance by more than {VALIDATION_RTOL:.0%}", file=sys.stderr)
+    return EXIT_FAILURE
 
 
 def cmd_assess(args) -> int:
@@ -250,11 +253,9 @@ def cmd_assess(args) -> int:
     cfg = _parse_tlbo(doc, args.seed)
     mc_cfg = _parse_mc(doc) if args.validate else None
     runs = args.runs if args.runs is not None else 30
+    assess = assess_single if isinstance(loop, SingleLoopProblem) else assess_cascade
     try:
-        if isinstance(loop, SingleLoopProblem):
-            report = assess_single(loop, cfg, runs=runs)
-        else:
-            report = assess_cascade(loop, cfg, runs=runs)
+        report = assess(loop, cfg, runs=runs)
     except AssessmentError as exc:
         print(f"assessment failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -286,11 +287,7 @@ def cmd_assess(args) -> int:
         v = report.validation
         print(f"MC check:    {v['estimate']:.6g} vs analytic {v['analytic']:.6g} "
               f"(rel err {v['relative_error']:.2%}, z {v['z']:+.2f})")
-        _print_underpowered_note(v)
-        if v["relative_error"] > VALIDATION_RTOL:
-            print("validation failed: Monte-Carlo disagrees with the analytic "
-                  f"variance by more than {VALIDATION_RTOL:.0%}", file=sys.stderr)
-            return EXIT_FAILURE
+        return _verdict(v)
     return EXIT_OK
 
 
@@ -379,8 +376,7 @@ def cmd_validate(args) -> int:
           f"mode {block['mode']}, N {block['samples']})")
     print(f"rel error: {block['relative_error']:.2%}  (z {block['z']:+.2f}, "
           f"{block['chains']} chains)")
-    _print_underpowered_note(block)
-    return EXIT_OK if block["relative_error"] <= VALIDATION_RTOL else EXIT_FAILURE
+    return _verdict(block)
 
 
 def _int_at_least(low: int, what: str):

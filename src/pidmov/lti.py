@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .tlbo import whole
+from .tlbo import finite, whole
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class DiscreteTransferFunction:
             a0 = den[0]
             num = tuple(b / a0 for b in num)
             den = tuple(a / a0 for a in den)
+        for c in num + den:
+            finite(c, "coefficient")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "delay", delay)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .lti import DiscreteTransferFunction
+
 
 def run_entry(r) -> dict:
     """The ``per_run`` report entry of one optimizer run (an ``OptResult``)."""
@@ -26,12 +28,18 @@ def run_entry(r) -> dict:
     }
 
 
-def _config_dict(cfg) -> dict:
+def block(obj) -> dict:
+    """Report block of a dataclass (a problem, an optimizer config): every
+    field, arrays and tuples as lists, transfer functions as num/den/delay."""
     out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, np.ndarray):
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, DiscreteTransferFunction):
+            v = {"num": list(v.num), "den": list(v.den), "delay": v.delay}
+        elif isinstance(v, np.ndarray):
             v = v.tolist()
+        elif isinstance(v, tuple):
+            v = list(v)
         out[f.name] = v
     return out
 
@@ -84,7 +92,7 @@ class AssessmentReport:
             "mean_elapsed_s": self.mean_elapsed,
             "per_run": self.per_run,
             "problem": self.problem_summary,
-            "optimizer": _config_dict(self.optimizer_config),
+            "optimizer": block(self.optimizer_config),
             "assumptions": self.assumptions,
             "meta": _meta(),
         }
@@ -160,7 +168,7 @@ class TuningReport:
             },
             "runs": self.runs,
             "problem": self.problem_summary,
-            "optimizer": _config_dict(self.optimizer_config),
+            "optimizer": block(self.optimizer_config),
             "assumptions": self.assumptions,
             "meta": _meta(),
         }
@@ -223,7 +231,7 @@ class SuiteReport:
             "repetitions": self.repetitions,
             "passed": self.passed,
             "rows": [r.to_dict() for r in self.rows],
-            "optimizer": _config_dict(self.optimizer_config),
+            "optimizer": block(self.optimizer_config),
             "assumptions": self.assumptions,
             "meta": _meta(),
         }

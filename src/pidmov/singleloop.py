@@ -30,32 +30,35 @@ import numpy as np
 from scipy.signal import _sigtools
 
 from .lti import DiscreteTransferFunction
-from .reports import AssessmentReport, run_entry
-from .tlbo import (DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, minimize,
-                   whole)
+from .reports import AssessmentReport, block, run_entry
+from .tlbo import (DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, finite,
+                   minimize, whole)
+
+
+class _Gains:
+    """A controller's three gains as a dataclass, and as an array and back."""
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+
+    @classmethod
+    def from_array(cls, k):
+        return cls(*(float(v) for v in np.asarray(k, dtype=float)[:3]))
 
 
 @dataclass(frozen=True)
-class ReducedPidParams:
+class ReducedPidParams(_Gains):
     """Controller numerator coefficients (k1 + k2 q^-1 + k3 q^-2)/(1 - q^-1)."""
 
     k1: float
     k2: float
     k3: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k1, self.k2, self.k3], dtype=float)
-
     def to_gains(self) -> "PidGains":
         kd = self.k3
         kp = -self.k2 - 2.0 * kd
         ki = self.k1 + self.k2 + self.k3
         return PidGains(kp=kp, ki=ki, kd=kd)
-
-    @classmethod
-    def from_array(cls, k) -> "ReducedPidParams":
-        k = np.asarray(k, dtype=float)
-        return cls(k1=float(k[0]), k2=float(k[1]), k3=float(k[2]))
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,15 @@ class PidGains:
         )
 
 
+def _truncation(p, dead_time: int) -> int:
+    """The truncation p of a loop with the given dead time: 8 dead times by
+    default, and a whole number no shorter than the dead time."""
+    p = whole(p, "truncation") if p is not None else 8 * dead_time
+    if p < dead_time:
+        raise ValueError(f"truncation p={p} shorter than the dead time {dead_time}")
+    return p
+
+
 @dataclass(frozen=True)
 class SingleLoopProblem:
     process: DiscreteTransferFunction
@@ -82,26 +94,21 @@ class SingleLoopProblem:
     def __post_init__(self):
         if self.process.delay < 1:
             raise ValueError("process dead time must be >= 1 sample")
-        if self.noise_variance < 0:
+        if finite(self.noise_variance, "noise variance") < 0:
             raise ValueError("noise variance must be >= 0")
-        p = (whole(self.truncation, "truncation") if self.truncation is not None
-             else 8 * self.process.delay)
-        if p < self.process.delay:
-            raise ValueError(
-                f"truncation p={p} shorter than the process dead time "
-                f"d={self.process.delay}"
-            )
-        object.__setattr__(self, "truncation", p)
+        object.__setattr__(self, "truncation", _truncation(self.truncation, self.process.delay))
 
 
 _ONE = np.ones(1)
 
 
-def _filter(a_cl: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """1/A_cl applied to x along its last axis: the call ``lfilter([1.0],
-    a_cl, x)`` makes when A_cl has two or more coefficients, as every A_cl
-    here has, without its Python wrapper."""
-    return _sigtools._linear_filter(_ONE, a_cl, x, -1)
+def _filter(a_cl: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
+    """1/A_cl applied to x along its last axis, from rest or from the state zi:
+    the call ``lfilter([1.0], a_cl, x, zi=zi)`` makes when A_cl has two or more
+    coefficients, as every A_cl here has, without its Python wrapper."""
+    if zi is None:
+        return _sigtools._linear_filter(_ONE, a_cl, x, -1)
+    return _sigtools._linear_filter(_ONE, a_cl, x, -1, zi)[0]
 
 
 def _delayed(tf) -> np.ndarray:
@@ -216,6 +223,10 @@ class _LoopKernel:
         """Truncated output variance of one gain set: a batch of one row."""
         return float(self.variance_batch(np.asarray(ks, dtype=float)[None])[0])
 
+    # the kernel is the variance objective, with the batch ``tlbo.minimize`` takes
+    __call__ = variance
+    batch = variance_batch
+
     def radius(self, ks) -> float:
         """Largest |root| of A_cl under one gain set."""
         return float(np.abs(np.roots(self.closed_loop(ks)[2])).max(initial=0.0))
@@ -251,15 +262,9 @@ def guarded_variance(phi: np.ndarray, noise_variance: float) -> float:
     return DIVERGENCE_SENTINEL
 
 
-def cpa_objective(problem: SingleLoopProblem):
+def cpa_objective(problem: SingleLoopProblem) -> _LoopKernel:
     """Truncated output variance as a function of (k1, k2, k3)."""
-    kernel = _LoopKernel(problem)
-
-    def fn(k: np.ndarray) -> float:
-        return kernel.variance(k)
-
-    fn.batch = kernel.variance_batch
-    return fn
+    return _LoopKernel(problem)
 
 
 def mv_benchmark(problem: SingleLoopProblem) -> float:
@@ -277,7 +282,7 @@ class AssessmentError(RuntimeError):
 def seeded_runs(objective, cfg: TlboConfig, runs: int) -> list[OptResult]:
     """One optimizer run of ``objective`` per seed derived from ``cfg.seed``,
     over the three controller gains."""
-    if runs < 1:
+    if (runs := whole(runs, "runs")) < 1:
         raise ValueError("runs must be >= 1")
     if cfg.dimensions != 3:
         raise ValueError("the controller search needs a 3-dimensional config")
@@ -299,7 +304,7 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
             )
     fits = np.array([r.best_fitness for r in results])
     points = np.vstack([r.best_point for r in results])
-    ddof = 1 if runs > 1 else 0      # one run has no spread: std 0.0
+    ddof = 1 if len(results) > 1 else 0      # one run has no spread: std 0.0
     mov, params_mean = float(fits.mean()), points.mean(axis=0)
     summary = summarize_problem(problem)
     return AssessmentReport(
@@ -313,7 +318,7 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
         closed_loop_radius=closed_loop_radius(problem, params_mean),
         mv=mv,
         eta=None if mv is None else (mv / mov if mov > 0 else float("nan")),
-        runs=runs,
+        runs=len(results),
         evaluations=sum(r.evaluations for r in results),
         mean_elapsed=float(np.mean([r.elapsed for r in results])),
         per_run=[run_entry(r) for r in results],
@@ -335,13 +340,6 @@ def assess_single(
 
 def summarize_problem(problem) -> dict:
     """Report block of a single-loop or cascade problem: its type and every
-    field, transfer functions as num/den/delay."""
-    out = {"type": "single" if isinstance(problem, SingleLoopProblem) else "cascade"}
-    for f in fields(problem):
-        v = getattr(problem, f.name)
-        if isinstance(v, DiscreteTransferFunction):
-            v = {"num": list(v.num), "den": list(v.den), "delay": v.delay}
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
+    field."""
+    kind = "single" if isinstance(problem, SingleLoopProblem) else "cascade"
+    return {"type": kind, **block(problem)}

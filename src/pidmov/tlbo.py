@@ -11,6 +11,7 @@ is kept where it improves its learner.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -30,6 +31,15 @@ def whole(value, name: str) -> int:
     if isinstance(value, float) and math.isfinite(value) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def finite(value, name: str) -> float:
+    """``value`` as a float where it is an int within float range or a finite
+    float (the rule the CLI reads other numbers by); a ValueError otherwise."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:      # False for NaN and +-inf
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def divergence_penalty(j: int, n: int) -> float:
@@ -58,14 +68,16 @@ class TlboConfig:
             raise ValueError("population must be >= 2")
         if self.termination_window < 1:
             raise ValueError("termination_window must be >= 1")
-        if self.termination_tol <= 0:
+        if finite(self.termination_tol, "termination_tol") <= 0:
             raise ValueError("termination_tol must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.dimensions,)).copy()
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dimensions,)).copy()
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (self.dimensions,)).copy()
+                  for b in (self.lower, self.upper))
+        for v in lo.tolist() + hi.tolist():
+            finite(v, "a bound")
         if not np.all(lo < hi):
             raise ValueError("lower bound must be < upper bound in every dimension")
         self.lower = lo

@@ -18,13 +18,13 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfiltic
 
 from .cascade import CascadeProblem
 from .reports import TuningReport, TuningRow
 from .singleloop import (AssessmentError, SingleLoopProblem, _filter, _LoopKernel,
                          seeded_runs, summarize_problem)
-from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty, whole
+from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty, finite, whole
 
 DIVERGENCE_LIMIT_FACTOR = 1e6   # |y| beyond this multiple of the setpoint -> unstable
 
@@ -38,11 +38,11 @@ class TuningProblem:
     setpoint: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
+        if finite(self.weight, "weight rho") < 0:
             raise ValueError("weight rho must be >= 0")
-        if self.sample_time <= 0:
+        if finite(self.sample_time, "sample_time") <= 0:
             raise ValueError("sample_time must be > 0")
-        if self.setpoint == 0:
+        if finite(self.setpoint, "setpoint") == 0:
             raise ValueError("setpoint amplitude must be nonzero")
         if self.horizon is None:
             n = 200 if isinstance(self.loop, SingleLoopProblem) else 300
@@ -120,9 +120,7 @@ def _stage_bounds(stage_params, horizon) -> list[tuple[int, int]]:
 
 def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
     """1/A_cl applied to x, continuing from the earlier outputs ``past``."""
-    if not past.size:
-        return _filter(a_cl, x)
-    return lfilter([1.0], a_cl, x, zi=lfiltic([1.0], a_cl, past[::-1]))[0]
+    return _filter(a_cl, x, lfiltic([1.0], a_cl, past[::-1]) if past.size else None)
 
 
 def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
@@ -211,7 +209,7 @@ def simulate_multistage(problem: TuningProblem, stage_params) -> StepResponseRec
     across each switch, so the handover is bumpless. ``stage_params`` is a
     list of (params, switch_sample) with the first switch at 0.
     """
-    stages = [(tuple(float(v) for v in ks), int(s)) for ks, s in stage_params]
+    stages = [(tuple(float(v) for v in ks), whole(s, "switch")) for ks, s in stage_params]
     n, sp = problem.horizon, problem.setpoint
     bounds = _stage_bounds(stages, n)
     # one filter run per distinct gain set keeps repeated stages bit-exact
@@ -280,14 +278,16 @@ def tune(
     """Optimize the combined objective; with ``rho_sweep``, produce one row
     per weight (best of ``runs`` seeded optimizer runs each)."""
     cfg = cfg or TlboConfig(dimensions=3)
-    rhos = rho_sweep if rho_sweep is not None else [problem.weight]
-    if any(r < 0 for r in rhos):
-        raise ValueError("weight rho must be >= 0")
+    # TuningProblem checks every weight before any optimizer runs
+    subs = [replace(problem, weight=float(r))
+            for r in (rho_sweep if rho_sweep is not None else [problem.weight])]
+    if not subs:
+        raise ValueError("rho_sweep must list at least one weight")
 
     kernel = _LoopKernel(problem.loop)
     rows = []
-    for rho in rhos:
-        sub = replace(problem, weight=float(rho))
+    for sub in subs:
+        rho = sub.weight
         results = seeded_runs(tuning_objective(sub), cfg, runs)
         best = min(results, key=lambda r: r.best_fitness)
         if best.best_fitness >= DIVERGENCE_SENTINEL:
@@ -297,7 +297,7 @@ def tune(
         _check_settling(radius, problem.horizon, rho)
         rows.append(
             TuningRow(
-                rho=float(rho),
+                rho=rho,
                 params=[float(x) for x in best.best_point],
                 sigma2=kernel.variance(best.best_point),
                 iae=record.iae,
@@ -318,7 +318,7 @@ def tune(
         horizon=problem.horizon,
         sample_time=problem.sample_time,
         setpoint=problem.setpoint,
-        runs=runs,
+        runs=len(results),
         assumptions=[
             "IAE accumulated per sample of the noise-free step response",
             "variance term computed from the analytic truncated shock response",

@@ -73,10 +73,18 @@ def test_tuning_problem_block():
     "cfg, runs, match",
     [
         (QUICK, 0, "runs"),
+        (QUICK, 1.5, "runs must be a whole number"),
         (TlboConfig(dimensions=2, max_iterations=10), 1, "3-dimensional"),
     ],
-    ids=["no_runs", "two_dimensions"],
+    ids=["no_runs", "fractional_runs", "two_dimensions"],
 )
 def test_entry_points_reject_bad_arguments(run, cfg, runs, match):
     with pytest.raises(ValueError, match=match):
         run(cfg, runs)
+
+
+def test_integral_float_runs_count_as_runs():
+    # 2.0 runs failed inside SeedSequence; it now reads, and reports, as 2
+    report = assess_single(load_benchmark(1), QUICK, runs=2.0)
+    assert report.runs == 2 and type(report.runs) is int
+    assert len(report.per_run) == 2

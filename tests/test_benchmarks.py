@@ -153,6 +153,16 @@ def test_suite_raises_usage_errors():
     # only optimizer failures become failed rows; a bad config is the caller's
     with pytest.raises(ValueError, match="3-dimensional"):
         run_benchmark_suite(TlboConfig(dimensions=2), repetitions=1, problems=[1])
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        run_benchmark_suite(repetitions=0, problems=[1])
+    with pytest.raises(ValueError, match="repetitions must be a whole number"):
+        run_benchmark_suite(repetitions=1.5, problems=[1])
+
+
+def test_suite_gives_one_row_per_id():
+    cfg = TlboConfig(dimensions=3, seed=7, max_iterations=10)
+    report = run_benchmark_suite(cfg, repetitions=1, problems=[8, 1, 8])
+    assert [r.problem_id for r in report.rows] == [1, 8]
 
 
 def test_suite_report_serialization():

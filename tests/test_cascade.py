@@ -45,6 +45,13 @@ def test_problem_validation():
                        truncation=16.5)
     assert CascadeProblem(outer=tfd, inner=tfd, outer_disturbance=tf, inner_disturbance=tf,
                           truncation=16.0).truncation == 16
+    with pytest.raises(ValueError, match="shorter than the dead time 2"):
+        CascadeProblem(outer=tfd, inner=tfd, outer_disturbance=tf, inner_disturbance=tf,
+                       truncation=1)
+    for bad in ((np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="noise variance must be a finite number"):
+            CascadeProblem(outer=tfd, inner=tfd, outer_disturbance=tf, inner_disturbance=tf,
+                           noise_variances=bad)
 
 
 def test_default_truncation_eight_total_dead_times():

@@ -48,7 +48,8 @@ def write(tmp_path, doc, name="problem.json"):
 
 def test_assess_single_loop(tmp_path, capsys):
     path = write(tmp_path, BENCH1)
-    code = main(["assess", str(path), "--runs", "2", "--out", str(tmp_path)])
+    code = main(["assess", str(path), "--runs", "2", "--out", str(tmp_path),
+                 "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
     assert "MOV" in out and "3.0727" in out
@@ -57,6 +58,8 @@ def test_assess_single_loop(tmp_path, capsys):
     assert payload["kind"] == "single"
     assert abs(payload["mov"]["mean"] - 3.0728) < 2e-4
     assert payload["optimizer"]["seed"] == 3
+    header, row = (tmp_path / "problem_assess.csv").read_text().splitlines()
+    assert header.startswith("kind,mv,mov_mean,") and row.startswith("single,")
 
 
 def test_assess_cascade_by_file_shape(tmp_path, capsys):
@@ -224,6 +227,12 @@ def test_count_flags_reject_non_positive_values(tmp_path, capsys, argv):
                  id="tuning-first-switch"),
     pytest.param(["tune"], "tuning", {"multistage": [{"params": [1, 2], "switch": 0}]},
                  id="tuning-two-number-stage"),
+    pytest.param(["tune"], "tuning", {"multistage": {"params": [1, 2, 3], "switch": 0}},
+                 id="tuning-multistage-not-a-list"),
+    pytest.param(["tune"], "tuning", {"multistage": [[1, 2, 3]]},
+                 id="tuning-stage-not-a-mapping"),
+    pytest.param(["tune"], "tuning", {"rho_sweep": [0, -1]}, id="tuning-rho_sweep-negative"),
+    pytest.param(["assess"], "process", None, id="process-missing"),
 ])
 def test_malformed_section_is_usage_error(tmp_path, capsys, argv, section, value):
     base = AIR if argv[0] == "tune" else BENCH1
@@ -306,6 +315,21 @@ def test_validate_mode_overrides_problem_file(tmp_path, capsys):
     assert payload["samples"] == 20000
     assert payload["analytic"] == pytest.approx(5.108e-4, rel=1e-3)
     assert code == 0
+
+
+def test_validate_failure_says_why(tmp_path, capsys):
+    # 2000 samples at this seed miss the analytic variance by 7.2%: the exit
+    # code alone used to carry the verdict
+    path = write(tmp_path, {**BENCH1, "mc": {"seed": 1}})
+    code = main(["validate", str(path), "--params", "2.8408,-4.4059,1.7486",
+                 "--samples", "2000", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    payload = json.loads((tmp_path / "problem_validate.json").read_text())
+    assert payload["relative_error"] > 0.02
+    assert code == 1
+    assert captured.err == ("validation failed: Monte-Carlo disagrees with the analytic "
+                            "variance by more than 2%\n")
+    assert "note: underpowered" in captured.out
 
 
 def test_validate_unstable_params_fail(tmp_path, capsys):
@@ -396,6 +420,12 @@ def _not_utf8(path):
     path.write_bytes(b"\xff{}")
 
 
+def _invalid_yaml(path):
+    path = path.with_suffix(".yaml")
+    path.write_text("process: [1, 2")
+    return path
+
+
 @pytest.mark.parametrize("argv, doc, expected", [
     pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"seed": -1}}, 2, id="tlbo-seed"),
     pytest.param(["assess", "{file}", "--seed", "-1"], BENCH1, 2, id="assess-flag"),
@@ -417,11 +447,20 @@ def _not_utf8(path):
                  id="tune-no-stable-candidate"),
     pytest.param(["assess", "{file}"], _directory, 2, id="problem-path-is-a-directory"),
     pytest.param(["assess", "{file}"], _not_utf8, 2, id="problem-file-not-utf8"),
+    pytest.param(["assess", "{file}.missing"], BENCH1, 2, id="problem-file-missing"),
+    pytest.param(["assess", "{file}"], _invalid_yaml, 2, id="problem-file-invalid-yaml"),
+    pytest.param(["assess", "{file}"], [BENCH1], 2, id="top-level-not-a-mapping"),
+    pytest.param(["assess", "{file}"], {**BENCH1, **CASCADE}, 2, id="single-and-cascade"),
+    pytest.param(["tune", "{file}", "--multistage"], {**AIR, "tuning": {"rho": 0.0}}, 2,
+                 id="multistage-without-stages"),
+    # no bounded candidate: every gain set in the box overflows the variance
+    pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"bounds": [1.0e100, 2.0e100]}}, 1,
+                 id="assess-no-finite-candidate"),
 ])
 def test_negative_seed_and_no_phase_are_usage_errors(tmp_path, capsys, argv, doc, expected):
     path = tmp_path / "problem.json"
     if callable(doc):       # a path that exists but does not read as a document
-        doc(path)
+        path = doc(path) or path
     else:
         write(tmp_path, doc)
     code = _exit_code([a.format(file=path) for a in argv]
@@ -431,7 +470,7 @@ def test_negative_seed_and_no_phase_are_usage_errors(tmp_path, capsys, argv, doc
     assert "Traceback" not in err
     assert len([line for line in err.splitlines()
                 if "error:" in line or " failed:" in line]) == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no report
 
 
 def test_seed_zero_is_valid(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """``singleloop._filter`` calls scipy's private ``_sigtools._linear_filter``
 without ``lfilter``'s Python wrapper. It must give the bits of the public
-``lfilter([1.0], a_cl, x)`` for every A_cl the kernel can build: two or
-more coefficients, stable or not, and inputs that already hold inf or NaN."""
+``lfilter([1.0], a_cl, x)``, and of ``lfilter([1.0], a_cl, x, zi=zi)`` from a
+filter state, for every A_cl the kernel can build: two or more coefficients,
+stable or not, and inputs that already hold inf or NaN."""
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic
 
 from pidmov.singleloop import _filter
 
@@ -51,5 +52,24 @@ def test_filter_equals_lfilter_bit_for_bit(order, stable):
         for x in _inputs(rng, int(rng.integers(1, 400))):
             want = lfilter([1.0], a_cl, x)
             got = _filter(a_cl, x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("order", range(2, 31))
+def test_filter_from_a_state_equals_lfilter_bit_for_bit(order, stable):
+    # a gain switch resumes the step loop from the outputs before it: the
+    # filter state that lfiltic builds from them, as tuning._resume does
+    rng = np.random.default_rng(2000 * order + stable)
+    for _ in range(5):
+        a_cl = _polynomial(rng, order, stable)
+        past = rng.normal(size=int(rng.integers(1, 2 * order)))
+        zi = lfiltic([1.0], a_cl, past[::-1])
+        for x in _inputs(rng, int(rng.integers(1, 400))):
+            if x.ndim > 1:
+                continue            # a resumed stage filters one row
+            want = lfilter([1.0], a_cl, x, zi=zi)[0]
+            got = _filter(a_cl, x, zi)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

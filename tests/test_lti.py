@@ -17,6 +17,13 @@ def test_zero_leading_denominator_rejected():
         DiscreteTransferFunction(num=(1.0,), den=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("num, den", [((np.nan,), (1.0,)), ((1.0,), (1.0, np.inf)),
+                                      ((1.0,), (np.inf, 1.0))])
+def test_non_finite_coefficients_rejected(num, den):
+    with pytest.raises(ValueError, match="coefficient must be a finite number"):
+        DiscreteTransferFunction(num=num, den=den)
+
+
 def test_negative_delay_rejected():
     with pytest.raises(ValueError, match="delay"):
         DiscreteTransferFunction(num=(1.0,), den=(1.0,), delay=-1)

@@ -16,6 +16,7 @@ from pidmov import (
     mc_variance_cascade,
     mc_variance_single,
 )
+from pidmov.mc import _check_decay
 
 TABLE3_K1 = ReducedPidParams(2.8408, -4.4059, 1.7486)
 
@@ -32,6 +33,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be a whole number"):
             McConfig(**{"samples": 1000, **bad})
     assert McConfig(samples=1000.0, burn_in=10.0).burn_in == 10
+
+
+def test_decay_check_rejects_a_non_finite_probe():
+    with pytest.raises(McStabilityError, match="diverges"):
+        _check_decay([np.array([1.0, 0.5, np.inf, 0.0])], "probe")
 
 
 def test_static_disturbance_open_loop():

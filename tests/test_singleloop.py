@@ -14,6 +14,7 @@ from pidmov import (
     mv_benchmark,
 )
 from pidmov.singleloop import guarded_variance, seeded_runs
+from pidmov.tlbo import DIVERGENCE_SENTINEL
 
 from oracles import dense_closed_loop_single
 
@@ -121,6 +122,8 @@ def test_matches_dense_matrix_oracle():
 def test_guarded_variance_basics():
     assert guarded_variance(np.ones(3), 1.0) == pytest.approx(3.0)
     assert guarded_variance(np.zeros(5), 2.0) == 0.0
+    # finite samples whose sum of squares overflows take the plain sentinel
+    assert guarded_variance(np.array([1e200, 1e200]), 1.0) == DIVERGENCE_SENTINEL
     b1 = load_benchmark(1)
     with pytest.raises(ValueError, match="variance"):
         SingleLoopProblem(process=b1.process, disturbance=b1.disturbance, noise_variance=-1.0)

@@ -210,6 +210,15 @@ def test_config_validation():
     cfg = TlboConfig(dimensions=3.0, population=np.int64(12), termination_window=20.0)
     assert (cfg.dimensions, cfg.population, cfg.termination_window) == (3, 12, 20)
     assert all(type(v) is int for v in (cfg.dimensions, cfg.population, cfg.seed))
+    with pytest.raises(ValueError, match="termination_window must be >= 1"):
+        TlboConfig(dimensions=3, termination_window=0)
+    # a NaN tolerance never stops on the window; an infinite bound overflows
+    # the initial draw
+    with pytest.raises(ValueError, match="termination_tol must be a finite number"):
+        TlboConfig(dimensions=3, termination_tol=np.nan)
+    for bounds in ({"lower": -np.inf}, {"upper": np.inf}, {"lower": (0.0, np.nan, 0.0)}):
+        with pytest.raises(ValueError, match="bound must be a finite number"):
+            TlboConfig(dimensions=3, **bounds)
 
 
 def test_rastrigin_multimodal_quality():

@@ -53,6 +53,20 @@ def test_problem_validation():
         replace(loop, truncation=40.9)
     assert TuningProblem(loop=loop, horizon=150.0).horizon == 150
     assert type(replace(loop, truncation=40.0).truncation) is int
+    with pytest.raises(ValueError, match="horizon must be >= 2"):
+        TuningProblem(loop=loop, horizon=1)
+    # float fields reject NaN and inf: a NaN weight found no stable candidate,
+    # a NaN setpoint gave an infinite IAE, a NaN variance failed the assessment
+    for name, bad in (("weight", math.nan), ("sample_time", math.inf),
+                      ("setpoint", math.nan), ("setpoint", -math.inf)):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            TuningProblem(loop=loop, **{name: bad})
+    with pytest.raises(ValueError, match="noise variance must be a finite number"):
+        replace(loop, noise_variance=math.nan)
+    # the sweep is checked before any optimizer runs
+    for sweep, match in (([math.nan], "finite"), ([], "at least one"), ([-1.0], ">= 0")):
+        with pytest.raises(ValueError, match=match):
+            tune(air(), rho_sweep=sweep)
 
 
 # Gains whose step sets off the divergence rule, the open loop, and rows the
@@ -225,6 +239,18 @@ def test_multistage_switch_at_zero_degenerate():
 def test_multistage_requires_stage_at_zero():
     with pytest.raises(ValueError, match="sample 0"):
         simulate_multistage(air(), [(AIR_RHO0, 5)])
+    with pytest.raises(ValueError, match="at least one stage"):
+        simulate_multistage(air(), [])
+
+
+def test_multistage_switches_are_whole_numbers():
+    # a fractional switch was truncated, and True read as sample 1
+    for switch in (100.7, True):
+        with pytest.raises(ValueError, match="switch must be a whole number"):
+            simulate_multistage(air(), [(AIR_RHO0, 0), (AIR_RHO0, switch)])
+    exact = simulate_multistage(air(), [(AIR_RHO0, 0), ((7.9520, -10.2099, 2.8804), 100)])
+    assert exact.output.tobytes() == simulate_multistage(
+        air(), [(AIR_RHO0, 0.0), ((7.9520, -10.2099, 2.8804), 100.0)]).output.tobytes()
 
 
 def test_multistage_switch_changes_tail_only():
