@@ -193,13 +193,11 @@ def run_benchmark_suite(
         raise ValueError("repetitions must be >= 1")
     cfg = cfg or TlboConfig(dimensions=3)
     ids = sorted(set(problems or _BENCHMARKS))     # one row per id
-    for i in ids:
-        if i not in _BENCHMARKS:
-            raise KeyError(f"unknown benchmark id {i}; valid ids are 1..10")
+    loops = {i: load_benchmark(i) for i in ids}    # an unknown id fails before any run
 
     def one(problem_id: int) -> SuiteRow:
         ref = REFERENCE[problem_id]
-        problem = load_benchmark(problem_id)
+        problem = loops[problem_id]
         mv = mv_benchmark(problem)
         failed = SuiteRow(
             problem_id=problem_id,

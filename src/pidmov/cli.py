@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import tlbo
 from .benchmarks import run_benchmark_suite
@@ -57,20 +58,20 @@ def _load_document(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"{path}: cannot read problem file: {exc}") from exc
-    if path.suffix.lower() in (".yaml", ".yml"):
-        import yaml
-
-        try:
+    try:
+        if path.suffix.lower() in (".yaml", ".yml"):
             doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ProblemFileError(f"{path}: invalid YAML: {exc}") from exc
-    else:
-        try:
+        else:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+    except yaml.YAMLError as exc:      # its message spans several lines
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ProblemFileError(f"{path}: invalid YAML{where}: {problem}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be a mapping")
     return doc

@@ -43,7 +43,10 @@ class _Gains:
 
     @classmethod
     def from_array(cls, k):
-        return cls(*(float(v) for v in np.asarray(k, dtype=float)[:3]))
+        if np.shape(k) != (3,):
+            raise ValueError(f"expected the three gains "
+                             f"{', '.join(f.name for f in fields(cls))}, got shape {np.shape(k)}")
+        return cls(*(float(v) for v in np.asarray(k, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -167,14 +170,13 @@ class _LoopKernel:
 
     def closed_loop_batch(self, ks):
         """kappa, P and A_cl of every row of an (n, 3) gain matrix, each one
-        expression over the batch."""
+        expression over the batch; one gain set is a batch of one row."""
         ks = np.asarray(ks, dtype=float)
+        if ks.ndim != 2 or ks.shape[1] != 3:
+            names = "k1, k2, k3" if self.single else "k4, k5, k6"
+            raise ValueError(f"expected rows of the three gains {names}, got shape {ks.shape}")
         kappa, p = (np.ones(len(ks)), ks) if self.single else (ks[:, 2], ks[:, :2])
         return kappa, p, self._a0 + kappa[:, None] * (self._a1 + p @ self._fb.T)
-
-    def closed_loop(self, ks):
-        """kappa, P and A_cl of one gain set: a batch of one row."""
-        return tuple(v[0] for v in self.closed_loop_batch(np.asarray(ks, dtype=float)[None]))
 
     def forcing(self, weights) -> tuple[np.ndarray, np.ndarray]:
         """f0 and f1 with sum_j weights[j] phi_j = (1/A_cl)(f0 + kappa f1);
@@ -198,9 +200,9 @@ class _LoopKernel:
     def shock(self, ks, forcing) -> np.ndarray:
         """The shock response of ``forcing`` (from ``forcing()``) under one
         gain set, over the truncation."""
-        kappa, _, a_cl = self.closed_loop(ks)
+        kappa, _, a_cl = self.closed_loop_batch([ks])
         f0, f1 = forcing
-        return _filter(a_cl, f0 + kappa * f1)
+        return _filter(a_cl[0], f0 + kappa[0] * f1)
 
     @cached_property
     def _unit(self):
@@ -229,7 +231,7 @@ class _LoopKernel:
 
     def radius(self, ks) -> float:
         """Largest |root| of A_cl under one gain set."""
-        return float(np.abs(np.roots(self.closed_loop(ks)[2])).max(initial=0.0))
+        return float(np.abs(np.roots(self.closed_loop_batch([ks])[2][0])).max(initial=0.0))
 
 
 def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> np.ndarray:
@@ -284,8 +286,6 @@ def seeded_runs(objective, cfg: TlboConfig, runs: int) -> list[OptResult]:
     over the three controller gains."""
     if (runs := whole(runs, "runs")) < 1:
         raise ValueError("runs must be >= 1")
-    if cfg.dimensions != 3:
-        raise ValueError("the controller search needs a 3-dimensional config")
     seeds = np.random.SeedSequence(cfg.seed).generate_state(runs)
     return [minimize(objective, replace(cfg, seed=int(s))) for s in seeds]
 

@@ -124,35 +124,37 @@ def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
 
 
 def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
-           e: np.ndarray, y2: np.ndarray, s: int = 0, corr=None) -> int | None:
-    """Run the step loop under one gain set from sample s to the end of
-    ``e``: fill e[s:] with the tracking error r - y and, in the cascade,
-    y2[s:] with the inner output, both continuing from the samples before
-    s. Return the first sample where an output left its divergence limit or
-    was not finite, or None. Call it inside ``np.errstate`` that ignores
-    overflow and invalid operations.
+           e: np.ndarray, y2: np.ndarray, s: int = 0, corr=None) -> np.ndarray:
+    """Run the step loop under the gain sets in the rows of kappa (m,),
+    p (m, k) and a_cl (m, n) from sample s to the end of the (m, stop) rows
+    e and y2: fill e[:, s:] with the tracking errors r - y and y2[:, s:] with
+    the cascade's inner outputs (zeros in the single loop), continuing from
+    the samples before s. Return each row's first sample where an output
+    left its divergence limit or was not finite, or stop if none did. Call
+    it inside ``np.errstate`` that ignores overflow and invalid operations.
 
     The forcing of e is amplitude (base + kappa inner), a finite pulse; at a
-    switch s > 0, ``corr`` carries the (1 - q^-1) c_u correction of the
-    control (see ``_step_response``).
+    switch s > 0 (the record runs a batch of one row), ``corr`` carries the
+    (1 - q^-1) c_u correction of the control (see ``_step_response``).
     """
     limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
-    stop = e.size
-    lead = kernel.base + kappa * kernel.inner
-    x = np.zeros(stop)
-    x[: lead.size] = amplitude * lead[:stop]
+    stop = e.shape[1]
+    lead = kernel.base + kappa[:, None] * kernel.inner
+    x = np.zeros_like(e)
+    x[:, : lead.shape[1]] = amplitude * lead[:, :stop]
     if s:
         x -= np.convolve(kernel.path, corr)[:stop]
-    e[s:] = _resume(a_cl, x[s:], e[:s])
-    kept = np.abs(amplitude - e[s:]) <= limit
-    if not kernel.single:
-        f = kappa * amplitude * np.convolve(p, np.ones(stop))[:stop]
-        if s:
-            f += corr
-        y2[s:] = _resume(a_cl, np.convolve(kernel.inner, f)[s:stop], y2[:s])
-        # the inner output may run 100x further before the loop counts as lost
-        kept &= np.abs(y2[s:]) <= 100.0 * limit
-    return None if kept.all() else s + int(np.argmin(kept))
+    for i, a in enumerate(a_cl):
+        e[i, s:] = _resume(a, x[i, s:], e[i, :s])
+        if not kernel.single:
+            f = kappa[i] * amplitude * np.convolve(p[i], np.ones(stop))[:stop]
+            if s:
+                f += corr
+            y2[i, s:] = _resume(a, np.convolve(kernel.inner, f)[s:stop], y2[i, :s])
+    # the inner output may run 100x further before the loop counts as lost;
+    # a False column past the end gives a bounded row the verdict stop
+    kept = (np.abs(amplitude - e[:, s:]) <= limit) & (np.abs(y2[:, s:]) <= 100.0 * limit)
+    return s + np.argmin(np.pad(kept, ((0, 0), (0, 1))), axis=1)
 
 
 def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
@@ -174,31 +176,31 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
     as the new gains' law plus a correction c_u on u, adds (1 - q^-1) c_u to
     the forcing, and the filters resume from the signals before s.
     """
-    # tracking error r - y, inner output (cascade only), and the integrator
+    # tracking error r - y, inner output (zero in the single loop), and the integrator
     # increments and kappa actually applied
     e, y2, d_integ, kappas = np.zeros((4, horizon))
     for i, (ks, s) in enumerate(stages):
         stop = stages[i + 1][1] if i + 1 < len(stages) else horizon
         with np.errstate(invalid="ignore"):      # non-finite gains diverge in _stage
-            kappa, p, a_cl = kernel.closed_loop(ks)
+            kappa, p, a_cl = kernel.closed_loop_batch([ks])
         corr = None
         if s:
             corr = np.zeros(stop)      # (1 - q^-1) c_u
-            w = 0.0 if kernel.single else y2[:s]
             integ = np.cumsum(d_integ[:s])
-            integ_new = np.cumsum(np.convolve(p, e[:s])[:s])
+            integ_new = np.cumsum(np.convolve(p[0], e[:s])[:s])
             # u(t >= s) - u_new(t) stays at kappa (I - I_new)(s - 1)
-            c_u = np.append(kappas[:s] * (integ - w) - kappa * (integ_new - w),
-                            kappa * (integ[-1] - integ_new[-1]))
+            c_u = np.append(kappas[:s] * (integ - y2[:s]) - kappa[0] * (integ_new - y2[:s]),
+                            kappa[0] * (integ[-1] - integ_new[-1]))
             corr[: s + 1] = np.diff(c_u, prepend=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            t = _stage(kernel, kappa, p, a_cl, amplitude, e[:stop], y2[:stop], s, corr)
-        if t is not None:
+            t = int(_stage(kernel, kappa, p, a_cl, amplitude,
+                           e[None, :stop], y2[None, :stop], s, corr)[0])
+        if t < stop:
             e[t + 1:] = amplitude
             return amplitude - e, t
         if stop < horizon:
-            d_integ[s:stop] = np.convolve(p, e[:stop])[s:stop]
-            kappas[s:stop] = kappa
+            d_integ[s:stop] = np.convolve(p[0], e[:stop])[s:stop]
+            kappas[s:stop] = kappa[0]
     return amplitude - e, None
 
 
@@ -224,24 +226,21 @@ def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
 
 
 def tuning_objective(problem: TuningProblem):
-    """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters;
-    ``fn.batch`` maps an (n, 3) gain matrix to its n values."""
+    """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters.
+    ``fn.batch`` maps an (n, 3) gain matrix to its n values through one
+    ``_stage`` call, the step record's body; ``fn(k)`` is a batch of one row."""
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
     kernel = _LoopKernel(problem.loop)
 
     def batch(ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=float)
-        out = np.empty(len(ks))
-        e, y2 = np.empty((2, n))
+        e, y2 = np.zeros((2, len(ks), n))
         # non-finite gains and diverging loops are penalized, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            kappa, p, a_cl = kernel.closed_loop_batch(ks)
-            for i in range(len(ks)):
-                t = _stage(kernel, kappa[i], p[i], a_cl[i], sp, e, y2)
-                # _finish_record's sum over _step_response's y, so J == record.iae
-                out[i] = (np.abs(sp - (sp - e)).sum() if t is None
-                          else divergence_penalty(t, n))
+            t = _stage(kernel, *kernel.closed_loop_batch(ks), sp, e, y2)
+            # _finish_record's sum over _step_response's y, so J == record.iae
+            out = np.where(t < n, divergence_penalty(t, n), np.abs(sp - (sp - e)).sum(axis=1))
             bounded = out < DIVERGENCE_SENTINEL
             if rho != 0.0:
                 var = kernel.variance_batch(ks[bounded])

@@ -74,7 +74,7 @@ def test_tuning_problem_block():
     [
         (QUICK, 0, "runs"),
         (QUICK, 1.5, "runs must be a whole number"),
-        (TlboConfig(dimensions=2, max_iterations=10), 1, "3-dimensional"),
+        (TlboConfig(dimensions=2, max_iterations=10), 1, "three gains"),
     ],
     ids=["no_runs", "fractional_runs", "two_dimensions"],
 )

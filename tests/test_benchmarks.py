@@ -151,7 +151,7 @@ def test_suite_rejects_unknown_problem():
 
 def test_suite_raises_usage_errors():
     # only optimizer failures become failed rows; a bad config is the caller's
-    with pytest.raises(ValueError, match="3-dimensional"):
+    with pytest.raises(ValueError, match="three gains"):
         run_benchmark_suite(TlboConfig(dimensions=2), repetitions=1, problems=[1])
     with pytest.raises(ValueError, match="repetitions must be >= 1"):
         run_benchmark_suite(repetitions=0, problems=[1])

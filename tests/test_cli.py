@@ -426,6 +426,12 @@ def _invalid_yaml(path):
     return path
 
 
+def _yaml_control_character(path):
+    path = path.with_suffix(".yaml")
+    path.write_text("process: \x00")
+    return path
+
+
 @pytest.mark.parametrize("argv, doc, expected", [
     pytest.param(["assess", "{file}"], {**BENCH1, "tlbo": {"seed": -1}}, 2, id="tlbo-seed"),
     pytest.param(["assess", "{file}", "--seed", "-1"], BENCH1, 2, id="assess-flag"),
@@ -449,6 +455,8 @@ def _invalid_yaml(path):
     pytest.param(["assess", "{file}"], _not_utf8, 2, id="problem-file-not-utf8"),
     pytest.param(["assess", "{file}.missing"], BENCH1, 2, id="problem-file-missing"),
     pytest.param(["assess", "{file}"], _invalid_yaml, 2, id="problem-file-invalid-yaml"),
+    pytest.param(["assess", "{file}"], _yaml_control_character, 2,
+                 id="problem-file-yaml-control-character"),
     pytest.param(["assess", "{file}"], [BENCH1], 2, id="top-level-not-a-mapping"),
     pytest.param(["assess", "{file}"], {**BENCH1, **CASCADE}, 2, id="single-and-cascade"),
     pytest.param(["tune", "{file}", "--multistage"], {**AIR, "tuning": {"rho": 0.0}}, 2,
@@ -470,6 +478,12 @@ def test_negative_seed_and_no_phase_are_usage_errors(tmp_path, capsys, argv, doc
     assert "Traceback" not in err
     assert len([line for line in err.splitlines()
                 if "error:" in line or " failed:" in line]) == 1
+    if doc is _invalid_yaml:    # PyYAML's multi-line message is cut to its problem and place
+        assert err.splitlines() == [f"error: {path}: invalid YAML at line 1, column 15: "
+                                    "expected ',' or ']', but got '<stream end>'"]
+    if doc is _yaml_control_character:
+        assert err.splitlines() == [f"error: {path}: invalid YAML: unacceptable character "
+                                    "#x0000: special characters are not allowed"]
     assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no report
 
 

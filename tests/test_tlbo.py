@@ -137,6 +137,13 @@ def test_seeded_trajectory_is_pinned():
     # the row's optimizer_fitness
     assert min(r.best_fitness for r in runs) == close(8.83648515684565)
 
+    # and the immersion cascade's rho = 1e6 row, whose step loop filters the
+    # inner output too
+    immersion = replace(load_case_study("immersion_cascade"), weight=1e6)
+    runs = seeded_runs(tuning_objective(immersion), TlboConfig(dimensions=3, seed=606), 2)
+    assert [(r.iterations, r.evaluations) for r in runs] == [(130, 2620), (174, 3500)]
+    assert [r.best_fitness for r in runs] == [close(704.7550364213484), close(547.464468075527)]
+
 
 def test_nan_candidates_rejected_and_counted():
     calls = {"n": 0}

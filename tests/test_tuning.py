@@ -8,10 +8,14 @@ import pytest
 from pidmov import (
     CASE_STUDY_REFERENCE,
     REFERENCE,
+    CascadeParams,
     DiscreteTransferFunction,
+    ReducedPidParams,
     SingleLoopProblem,
     TlboConfig,
     TuningProblem,
+    cascade_objective,
+    closed_loop_radius,
     cpa_objective,
     load_benchmark,
     load_case_study,
@@ -103,6 +107,29 @@ def test_batch_objective_equals_scalar_and_step_record(case, rho):
             var = kernel.variance(k) if rho else 0.0
             assert j == (var if var >= DIVERGENCE_SENTINEL else rec.iae + rho * var)
     assert 45 <= bounded < len(ks)
+
+
+@pytest.mark.parametrize("case, gains, names", [
+    ("air_single", ReducedPidParams, "k1, k2, k3"),
+    ("immersion_cascade", CascadeParams, "k4, k5, k6"),
+])
+@pytest.mark.parametrize("k", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+def test_gain_sets_need_three_gains(case, gains, names, k):
+    """A gain set of two or four gains is refused, not truncated or padded."""
+    problem = replace(load_case_study(case), weight=1e5)
+    objective = cpa_objective if gains is ReducedPidParams else cascade_objective
+    match = f"three gains {names}"
+    for call in (lambda: objective(problem.loop)(k),
+                 lambda: objective(problem.loop).batch([k, k]),
+                 lambda: tuning_objective(problem)(k),
+                 lambda: tuning_objective(problem).batch([k]),
+                 lambda: simulate_step(problem, k),
+                 lambda: closed_loop_radius(problem.loop, k),
+                 lambda: gains.from_array(k),
+                 lambda: tune(problem, TlboConfig(dimensions=len(k), max_iterations=1), runs=1)):
+        with pytest.raises(ValueError, match=match):
+            call()
+    assert gains.from_array(k[:2] + (3.0,)) == gains(1.0, 2.0, 3.0)
 
 
 def test_open_loop_iae_is_horizon_times_amplitude():
