@@ -57,8 +57,9 @@ class AssessmentReport:
     mov_std: float
     mov_worst: float
     mov_best: float
-    params_mean: np.ndarray
+    params_mean: np.ndarray        # spread statistics of the run optima
     params_std: np.ndarray
+    params_best: np.ndarray        # the best run's point
     runs: int
     evaluations: int
     mean_elapsed: float
@@ -67,7 +68,7 @@ class AssessmentReport:
     optimizer_config: object
     mv: float | None = None        # single loop only
     eta: float | None = None       # mv / mov
-    closed_loop_radius: float | None = None   # at params_mean
+    closed_loop_radius: float | None = None   # at params_best
     assumptions: list[str] = field(default_factory=list)
     validation: dict | None = None
     run_histories: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -85,6 +86,7 @@ class AssessmentReport:
             "params": {
                 "mean": self.params_mean.tolist(),
                 "std": self.params_std.tolist(),
+                "best": self.params_best.tolist(),
             },
             "closed_loop_radius": self.closed_loop_radius,
             "runs": self.runs,

@@ -23,7 +23,7 @@ routine behind ``scipy.signal.lfilter`` directly: that is private scipy API
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy.signal import _sigtools
 from .lti import DiscreteTransferFunction
 from .reports import AssessmentReport, block, run_entry
 from .tlbo import (DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, finite,
-                   minimize, whole)
+                   lockstep, whole)
 
 
 class _Gains:
@@ -215,11 +215,21 @@ class _LoopKernel:
     def variance_batch(self, ks) -> np.ndarray:
         """Truncated output variance of every row of an (n, 3) gain matrix,
         penalized where it diverges: one filter of the row's forcing
-        f0 + kappa f1 (one expression over the batch) through its 1/A_cl."""
+        f0 + kappa f1 (one expression over the batch) through its 1/A_cl,
+        and every row's sum of squares in one stacked product."""
         kappa, _, a_cl = self.closed_loop_batch(ks)
         f0, f1, scale = self._unit
-        return np.array([guarded_variance(_filter(a, f), scale)
-                         for a, f in zip(a_cl, f0 + kappa[:, None] * f1)])
+        phi = f0 + kappa[:, None] * f1
+        for i, a in enumerate(a_cl):
+            phi[i] = _filter(a, phi[i])
+        # the (1, p) @ (p, 1) product of each row is the ddot np.vdot makes,
+        # so a finite sum is guarded_variance's bit for bit; only the rows
+        # whose sum is not finite pay for its ordered penalty
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.matmul(phi[:, None, :], phi[:, :, None])[:, 0, 0] * scale
+        bad = ~np.isfinite(v)
+        v[bad] = [guarded_variance(row, scale) for row in phi[bad]]
+        return v
 
     def variance(self, ks) -> float:
         """Truncated output variance of one gain set: a batch of one row."""
@@ -283,11 +293,10 @@ class AssessmentError(RuntimeError):
 
 def seeded_runs(objective, cfg: TlboConfig, runs: int) -> list[OptResult]:
     """One optimizer run of ``objective`` per seed derived from ``cfg.seed``,
-    over the three controller gains."""
+    over the three controller gains, the runs stepped in lockstep."""
     if (runs := whole(runs, "runs")) < 1:
         raise ValueError("runs must be >= 1")
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(runs)
-    return [minimize(objective, replace(cfg, seed=int(s))) for s in seeds]
+    return lockstep(objective, cfg, np.random.SeedSequence(cfg.seed).generate_state(runs))
 
 
 def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
@@ -305,7 +314,7 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
     fits = np.array([r.best_fitness for r in results])
     points = np.vstack([r.best_point for r in results])
     ddof = 1 if len(results) > 1 else 0      # one run has no spread: std 0.0
-    mov, params_mean = float(fits.mean()), points.mean(axis=0)
+    mov, params_best = float(fits.mean()), points[int(np.argmin(fits))]
     summary = summarize_problem(problem)
     return AssessmentReport(
         kind=summary["type"],
@@ -313,9 +322,12 @@ def _assess(problem, objective, cfg: TlboConfig | None, runs: int,
         mov_std=float(fits.std(ddof=ddof)),
         mov_worst=float(fits.max()),
         mov_best=float(fits.min()),
-        params_mean=params_mean,
+        params_mean=points.mean(axis=0),
         params_std=points.std(axis=0, ddof=ddof),
-        closed_loop_radius=closed_loop_radius(problem, params_mean),
+        params_best=params_best,
+        # at a point some run found: the mean of optima in different basins
+        # may be a controller no run found, and unstable
+        closed_loop_radius=closed_loop_radius(problem, params_best),
         mv=mv,
         eta=None if mv is None else (mv / mov if mov > 0 else float("nan")),
         runs=len(results),

@@ -5,7 +5,8 @@ best individual relative to the scaled population mean; learner phase moves
 each learner toward (or away from) a random partner. Each phase is one
 evaluate-and-accept step: the moved learners are clipped to the box,
 evaluated (in one call where the objective has a ``batch``), and each move
-is kept where it improves its learner.
+is kept where it improves its learner. Independent seeded runs step in
+lockstep, so one phase evaluates the candidates of every running run at once.
 """
 
 from __future__ import annotations
@@ -97,35 +98,60 @@ class OptResult:
 
 
 def minimize(objective, cfg: TlboConfig) -> OptResult:
-    """Minimize a real-vector objective on the configured box.
+    """Minimize a real-vector objective on the configured box: the lockstep
+    of one run, seeded with ``cfg.seed``."""
+    return lockstep(objective, cfg, [cfg.seed])[0]
 
-    Deterministic for a given config. Candidates evaluating to NaN are
-    rejected outright and counted in ``nan_evaluations``. The random factor
-    r is one scalar per learner, as the update laws are written. An
-    objective with a ``batch`` attribute, mapping an (n, dimensions) array to
-    n values, is evaluated one population at a time through it.
+
+def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
+    """A random partner per learner, other than the learner itself."""
+    partners = rng.integers(0, npop, size=npop)
+    clash = partners == np.arange(npop)
+    while clash.any():
+        partners[clash] = rng.integers(0, npop, size=int(clash.sum()))
+        clash = partners == np.arange(npop)
+    return partners
+
+
+def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
+    """One run of ``minimize`` per seed, every run stepped in lockstep.
+
+    Deterministic for a given config and seeds; each run makes the draws of
+    its own ``default_rng(seed)`` in the order a lone run makes them, so its
+    result is the same as alone, apart from ``elapsed``: the time from the
+    start of the lockstep to the phase where the run stopped. Candidates
+    evaluating to NaN are rejected outright and counted in
+    ``nan_evaluations``. The random factor r is one scalar per learner, as
+    the update laws are written. Each phase evaluates the candidates of
+    every running run at once: one ``objective.batch`` call on their
+    (runs * population, dimensions) array where the objective has a
+    ``batch``, otherwise one call per candidate.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    npop = cfg.population
+    npop, dim = cfg.population, cfg.dimensions
     lo, hi = cfg.lower, cfg.upper
-    nan_count = 0
     batch = getattr(objective, "batch", None)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    ids = np.arange(len(rngs))             # the running runs
+    nan_count = np.zeros(len(rngs), dtype=int)
+    results: list[OptResult | None] = [None] * len(rngs)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        nonlocal nan_count
+        flat = points.reshape(-1, dim)
         if batch is None:
-            f = np.array([float(objective(x)) for x in points])
+            f = np.array([float(objective(x)) for x in flat])
         else:
-            f = np.array(batch(points), dtype=float)
+            f = np.array(batch(flat), dtype=float)
+        f = f.reshape(len(points), npop)
         nan = np.isnan(f)
-        nan_count += int(np.count_nonzero(nan))
+        nan_count[ids] += np.count_nonzero(nan, axis=1)
         f[nan] = math.inf
         return f
 
-    pop = rng.uniform(lo, hi, size=(npop, cfg.dimensions))
+    pop = np.stack([rng.uniform(lo, hi, size=(npop, dim)) for rng in rngs])
     fit = evaluate(pop)
-    history = [float(fit.min())]    # one entry after init and after each phase
+    # one list per running run: its best after init and after each phase
+    history = [[v] for v in fit.min(axis=1).tolist()]
 
     def phase(moves: np.ndarray) -> None:
         cand = np.clip(pop + moves, lo, hi)
@@ -133,42 +159,55 @@ def minimize(objective, cfg: TlboConfig) -> OptResult:
         accept = cf < fit
         pop[accept] = cand[accept]
         fit[accept] = cf[accept]
-        history.append(float(fit.min()))
+        for h, v in zip(history, fit.min(axis=1).tolist()):
+            h.append(v)
 
-    w = cfg.termination_window
-    by_window = False
-    while len(history) <= cfg.max_iterations:
-        if len(history) > w and history[-1 - w] - history[-1] < cfg.termination_tol:
-            by_window = True
+    def finish(i: int, by_window: bool) -> None:
+        best = int(np.argmin(fit[i]))
+        results[ids[i]] = OptResult(
+            best_point=pop[i, best].copy(),
+            best_fitness=float(fit[i, best]),
+            iterations=len(history[i]) - 1,
+            evaluations=npop * len(history[i]),
+            fitness_history=np.array(history[i]),
+            elapsed=time.perf_counter() - t0,
+            nan_evaluations=int(nan_count[ids[i]]),
+            terminated_by_window=by_window,
+        )
+
+    w, tol = cfg.termination_window, cfg.termination_tol
+    teaching = True
+    while ids.size:
+        if len(history[0]) > cfg.max_iterations:
+            for i in range(ids.size):
+                finish(i, False)
             break
-
-        # Teacher phase: all moves computed from the phase-start snapshot.
-        teacher = pop[int(np.argmin(fit))]
-        mean = pop.mean(axis=0)
-        tf = np.round(1.0 + rng.random(npop))
-        phase(rng.random(npop)[:, None] * (teacher - tf[:, None] * mean))
-        if len(history) > cfg.max_iterations:
-            break
-
-        # Learner phase: random distinct partner per learner; move toward the
-        # partner when it is better, away otherwise.
-        partners = rng.integers(0, npop, size=npop)
-        clash = partners == np.arange(npop)
-        while clash.any():
-            partners[clash] = rng.integers(0, npop, size=int(clash.sum()))
-            clash = partners == np.arange(npop)
-        better = fit < fit[partners]
-        step = np.where(better[:, None], pop - pop[partners], pop[partners] - pop)
-        phase(rng.random(npop)[:, None] * step)
-
-    best = int(np.argmin(fit))
-    return OptResult(
-        best_point=pop[best].copy(),
-        best_fitness=float(fit[best]),
-        iterations=len(history) - 1,
-        evaluations=npop * len(history),
-        fitness_history=np.array(history),
-        elapsed=time.perf_counter() - t0,
-        nan_evaluations=nan_count,
-        terminated_by_window=by_window,
-    )
+        if teaching:
+            stop = np.array([len(h) > w and h[-1 - w] - h[-1] < tol for h in history])
+            if stop.any():
+                for i in np.flatnonzero(stop):
+                    finish(i, True)
+                keep = np.flatnonzero(~stop)
+                ids, pop, fit = ids[keep], pop[keep], fit[keep]
+                rngs = [rngs[i] for i in keep]
+                history = [history[i] for i in keep]
+                if not ids.size:
+                    break
+            # Teacher phase: all moves computed from the phase-start snapshot.
+            teacher = pop[np.arange(ids.size), np.argmin(fit, axis=1)]
+            mean = pop.mean(axis=1)
+            tf = np.round(1.0 + np.array([rng.random(npop) for rng in rngs]))
+            r = np.array([rng.random(npop) for rng in rngs])
+            phase(r[..., None] * (teacher[:, None] - tf[..., None] * mean[:, None]))
+        else:
+            # Learner phase: random distinct partner per learner; move toward
+            # the partner when it is better, away otherwise.
+            partners = np.array([_partners(rng, npop) for rng in rngs])
+            rows = np.arange(ids.size)[:, None]
+            other = pop[rows, partners]
+            better = fit < fit[rows, partners]
+            step = np.where(better[..., None], pop - other, other - pop)
+            r = np.array([rng.random(npop) for rng in rngs])
+            phase(r[..., None] * step)
+        teaching = not teaching
+    return results

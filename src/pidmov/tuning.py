@@ -151,10 +151,9 @@ def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
             if s:
                 f += corr
             y2[i, s:] = _resume(a, np.convolve(kernel.inner, f)[s:stop], y2[i, :s])
-    # the inner output may run 100x further before the loop counts as lost;
-    # a False column past the end gives a bounded row the verdict stop
+    # the inner output may run 100x further before the loop counts as lost
     kept = (np.abs(amplitude - e[:, s:]) <= limit) & (np.abs(y2[:, s:]) <= 100.0 * limit)
-    return s + np.argmin(np.pad(kept, ((0, 0), (0, 1))), axis=1)
+    return s + np.where(kept.all(axis=1), stop - s, np.argmin(kept, axis=1))
 
 
 def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):

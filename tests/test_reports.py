@@ -5,6 +5,8 @@ reads (no NaN or Infinity tokens)."""
 import json
 import math
 
+import numpy as np
+
 import pidmov.benchmarks
 from pidmov import (
     AssessmentError,
@@ -30,12 +32,32 @@ def strict_load(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def test_assessment_reports_radius_at_mean_params():
+def test_assessment_reports_radius_at_best_params():
     for problem, assess in ((load_benchmark(1), assess_single),
                             (load_case_study("immersion_cascade").loop, assess_cascade)):
         report = assess(problem, QUICK, runs=2)
-        assert report.closed_loop_radius == closed_loop_radius(problem, report.params_mean)
+        assert report.closed_loop_radius == closed_loop_radius(problem, report.params_best)
         assert report.to_dict()["closed_loop_radius"] == report.closed_loop_radius
+        assert report.to_dict()["params"]["best"] == report.params_best.tolist()
+
+
+def test_radius_is_taken_at_a_point_some_run_found():
+    # two wells in the cascade's gains, each stable where their midpoint is
+    # not: runs ending in different wells average to a controller no run found
+    loop = load_case_study("immersion_cascade").loop
+    wells = np.array([[-47.2, 46.15, 0.018], [-0.12, 0.21, -1.26]])
+
+    def two_wells(k):
+        return float(min(np.sum((k - wells[0]) ** 2), np.sum((k - wells[1]) ** 2) + 1.0))
+
+    report = _assess(loop, two_wells, TlboConfig(dimensions=3, seed=1), runs=4)
+    points = np.array([r["params"] for r in report.per_run])
+    basin = np.argmin(((points[:, None] - wells) ** 2).sum(axis=2), axis=1)
+    assert sorted(set(basin.tolist())) == [0, 1]
+    best = int(np.argmin([r["fitness"] for r in report.per_run]))
+    assert report.params_best.tolist() == points[best].tolist()
+    assert report.closed_loop_radius == closed_loop_radius(loop, report.params_best) < 1
+    assert closed_loop_radius(loop, report.params_mean) > 1.1
 
 
 def test_per_run_entries_count_nan_evaluations():

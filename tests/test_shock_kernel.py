@@ -7,6 +7,7 @@ instances are kept when the closed loop, assembled independently in
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from pidmov import (
     load_benchmark,
     load_case_study,
 )
-from pidmov.singleloop import _LoopKernel
-from pidmov.tlbo import DIVERGENCE_SENTINEL
+from pidmov.singleloop import _filter, _LoopKernel, guarded_variance
+from pidmov.tlbo import DIVERGENCE_SENTINEL, divergence_penalty
 
 from oracles import dense_cascade, dense_closed_loop_single, pole_radius
 
@@ -196,13 +197,16 @@ def test_radius_flags_unstable_gains_the_variance_misses():
     assert cpa_objective(problem)(k) < DIVERGENCE_SENTINEL
 
 
-@pytest.mark.parametrize("loop", [
+KERNEL_LOOPS = pytest.mark.parametrize("loop", [
     load_benchmark(1),
     load_benchmark(3),      # the longest filter, p = 224
     load_benchmark(8),
     load_case_study("air_single").loop,
     load_case_study("immersion_cascade").loop,
 ], ids=["bench1", "bench3", "bench8", "air_single", "immersion_cascade"])
+
+
+@KERNEL_LOOPS
 def test_variance_batch_equals_scalar_bit_for_bit(loop):
     kernel = _LoopKernel(loop)
     ks = np.random.default_rng(12).uniform(-50.0, 50.0, size=(200, 3))
@@ -215,3 +219,37 @@ def test_variance_batch_equals_scalar_bit_for_bit(loop):
         got = kernel.variance_batch(ks)
     assert got.tolist() == want
     assert min(want[-2:]) > DIVERGENCE_SENTINEL
+
+
+@KERNEL_LOOPS
+@pytest.mark.parametrize("noise", [None, 1e300], ids=["", "sum_overflows"])
+def test_stacked_sum_of_squares_equals_guarded_variance_per_row(loop, noise):
+    # variance_batch takes every row's sum of squares in one stacked matmul;
+    # the reference is guarded_variance (np.vdot) of each filtered row. With
+    # a noise variance of 1e300 the sum overflows where every sample is finite
+    if noise is not None:
+        loop = (replace(loop, noise_variance=noise) if isinstance(loop, SingleLoopProblem)
+                else replace(loop, noise_variances=(noise, noise)))
+    kernel = _LoopKernel(loop)
+    grow = (lambda g: [g, 0.0, 0.0]) if kernel.single else (lambda g: [g, 0.0, 1.0])
+    rows = np.random.default_rng(16).uniform(-50.0, 50.0, size=(200, 3))
+    diverging = [grow(1e100), grow(1e200), grow(1e300), grow(np.nan), [0.0, np.nan, 1.0]]
+    ks = np.vstack([rows, diverging])
+    kappa, _, a_cl = kernel.closed_loop_batch(ks)
+    f0, f1, scale = kernel._unit
+    phi = [_filter(a, f0 + c * f1) for a, c in zip(a_cl, kappa)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel.variance_batch(ks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([guarded_variance(row, scale) for row in phi])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # every diverging row is penalized at its first non-finite sample, so a
+    # loop that overflows sooner ranks worse; a NaN row at its first sample
+    bad = got[-len(diverging):]
+    first = [int(np.argmax(~np.isfinite(row))) for row in phi[-len(diverging):]]
+    assert bad.tolist() == [divergence_penalty(j, kernel.loop.truncation) for j in first]
+    assert DIVERGENCE_SENTINEL < bad[0] < bad[1] <= bad[2]
+    if noise is not None:
+        assert (got[:-len(diverging)] == DIVERGENCE_SENTINEL).any()
+    assert kernel.variance_batch(np.empty((0, 3))).shape == (0,)

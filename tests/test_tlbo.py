@@ -1,12 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from pidmov import (TlboConfig, assess_cascade, assess_single, load_benchmark,
-                    load_case_study, minimize, tuning_objective)
+from pidmov import (TlboConfig, assess_cascade, assess_single, cascade_objective,
+                    load_benchmark, load_case_study, minimize, tuning_objective)
 from pidmov.singleloop import seeded_runs
+from pidmov.tlbo import OptResult
 
 
 def sphere(x):
@@ -188,6 +189,60 @@ def test_batch_objective_runs_the_same_trajectory(fn):
     if fn is nan_right_of_zero:
         assert b.nan_evaluations > 0
         assert b.best_point[0] <= 0
+
+
+def _cascade_variance():
+    return cascade_objective(load_case_study("immersion_cascade").loop)
+
+
+# (objective, config, runs): the cascade's runs stop at 56 to 228 phases; a
+# cap of 7 phases ends every run after a teacher phase
+LOCKSTEP_CASES = {
+    "cascade": (_cascade_variance, TlboConfig(dimensions=3, seed=2024), 5),
+    "odd_cap": (lambda: sphere, TlboConfig(dimensions=3, seed=5, max_iterations=7), 3),
+    "nan_region": (lambda: nan_right_of_zero, TlboConfig(dimensions=3, seed=8), 4),
+}
+
+
+@pytest.mark.parametrize("wrap", [lambda fn: (lambda x: fn(x)), BatchOnly],
+                         ids=["callable", "batch_only"])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_seeded_runs_equal_one_minimize_per_seed(case, wrap):
+    make, cfg, n = LOCKSTEP_CASES[case]
+    objective = wrap(make())
+    runs = seeded_runs(objective, cfg, n)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(n)
+    alone = [minimize(objective, replace(cfg, seed=int(s))) for s in seeds]
+    for a, b in zip(runs, alone):
+        for f in fields(OptResult):
+            if f.name != "elapsed":
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert type(x) is type(y)
+                assert np.array_equal(x, y), f.name
+    iterations = [r.iterations for r in runs]
+    if case == "cascade":
+        assert len(set(iterations)) == n and all(r.terminated_by_window for r in runs)
+    if case == "odd_cap":
+        assert iterations == [7] * n and not any(r.terminated_by_window for r in runs)
+    if case == "nan_region":
+        assert all(r.nan_evaluations > 0 for r in runs)
+
+
+def test_each_phase_is_one_batch_over_the_running_runs():
+    kernel = _cascade_variance()
+    sizes = []
+
+    class Recording:
+        def batch(self, points):
+            sizes.append(points.shape)
+            return kernel.batch(points)
+
+    cfg = TlboConfig(dimensions=3, seed=2024, population=12)
+    runs = seeded_runs(Recording(), cfg, 5)
+    phases = max(r.iterations for r in runs)
+    running = [sum(r.iterations >= k for r in runs) for k in range(1, phases + 1)]
+    assert len(set(running)) > 2       # runs leave the lockstep at different phases
+    assert sizes == [(12 * n, 3) for n in [5, *running]]
 
 
 def test_config_validation():
