@@ -18,6 +18,7 @@ import json
 import sys
 from contextlib import suppress
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +361,8 @@ def cmd_validate(args) -> int:
     loop = _parse_loop(doc)
     mc_cfg = _parse_mc(doc)
     if args.samples is not None:
-        mc_cfg = replace(mc_cfg, samples=args.samples, burn_in=None)
+        mc_cfg = _checked(partial(replace, mc_cfg), "--samples", samples=args.samples,
+                          burn_in=None)
     if args.mode:
         mc_cfg = replace(mc_cfg, correlation_mode=args.mode)
     params = np.asarray(_numbers(args.params.replace(",", " ").split(), "--params", 3))

@@ -1,22 +1,28 @@
 """Monte-Carlo validation of the analytic variances.
 
-The oracle drives the closed loop sample-by-sample with white Gaussian
-noise, keeping the controller and every transfer function as separate
-difference equations. The estimator shares nothing with the analytic
-closed-loop kernel, so agreement between the two is evidence, not
-tautology (the analytic shock response is consulted only to refuse loops
-whose response does not decay before a long simulation is wasted on them).
+The oracle drives the closed loop with white Gaussian noise, keeping the
+controller and every transfer function as separate difference equations.
+The estimator shares nothing with the analytic closed-loop kernel, so
+agreement between the two is evidence, not tautology (the analytic shock
+response is consulted only to refuse loops whose response does not decay
+before a long simulation is wasted on them).
 
 A run of N samples is split into R = max(1, N // CHAIN_SAMPLES) independent
-chains of L = N // R samples each, stepped together: every step of the
-difference equations acts on one (R,) row of time-major (L, R) arrays, so
-the Python loop runs L times, not N. Each chain starts at rest, has its own
-shocks (one (R, L) draw per noise source) and discards its own
-burn_in // R samples. Below 2 * CHAIN_SAMPLES there is one chain, and the
-run is the plain sample-by-sample simulation. The estimate is the variance
-of all kept samples; its standard error is the spread of the variances of
-50 equal batches of the kept samples, laid out chain after chain, over
-sqrt(50).
+chains of L = N // R samples each, stepped together over the (R,) rows of
+time-major (L, R) arrays, one dead time at a time: the process inputs of the
+next d samples (d2, the inner dead time, in the cascade) are already known.
+So each numerator term, the outputs and errors, and the controller's running
+sum (one np.add.accumulate, which adds row after row) are one expression per
+block, and only the denominator recursion runs sample by sample. Every
+sample keeps the float operations, in their order, of the plain
+sample-by-sample simulation, so the outputs equal it bit for bit while the
+Python loop runs about L / d times, not N. Each chain starts at rest, has
+its own shocks (one (R, L) draw per noise source) and discards its own
+burn_in // R samples. Below 2 * CHAIN_SAMPLES there is one chain. The
+estimate is the variance of all kept samples; its standard error is the
+spread of the variances of 50 equal batches of the kept samples, laid out
+chain after chain, over sqrt(50) (fewer batches, at least two of two
+samples, for runs that keep fewer than 5000).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .tlbo import whole
 CHAIN_SAMPLES = 10_000
 DIVERGENCE_LIMIT = 1e9
 VALIDATION_RTOL = 0.02    # accepted relative error of an estimate against the analytic value
+MIN_KEPT_SAMPLES = 4      # two batches of two, the fewest with a nonzero batch spread
 
 
 class McStabilityError(RuntimeError):
@@ -60,10 +67,12 @@ class McConfig:
         if self.correlation_mode not in ("independent", "fully_correlated"):
             raise ValueError(f"unknown correlation mode {self.correlation_mode!r}")
         object.__setattr__(self, "burn_in", burn)
-        _, length, chain_burn = self.layout
-        if length <= chain_burn:
-            raise ValueError(f"chains of {length} samples keep none after "
-                             f"their burn-in of {chain_burn} samples")
+        chains, length, chain_burn = self.layout
+        kept = chains * (length - chain_burn)
+        if kept < MIN_KEPT_SAMPLES:
+            raise ValueError(f"{chains} chain(s) of {length} samples keep {kept} after a "
+                             f"burn-in of {chain_burn} samples each, fewer than the "
+                             f"{MIN_KEPT_SAMPLES} the standard error needs")
 
     @property
     def layout(self) -> tuple[int, int, int]:
@@ -143,35 +152,67 @@ def _check_decay(phis, label: str):
             )
 
 
+def _process_block(x: np.ndarray, inp: np.ndarray, tf: DiscreteTransferFunction,
+                   s0: int, m: int) -> np.ndarray:
+    """Write rows s0..s0+m-1 of the state x of num/den * q^-delay driven by inp,
+    and return them; inp must be known up to row s0 + m - 1 - delay.
+
+    Each sample is ((0.0 + b0 inp[s-d]) + b1 inp[s-d-1] + ...) - a1 x[s-1] - ...:
+    each numerator term is one expression over the block, the denominator
+    recursion runs sample by sample.
+    """
+    lag = s0 - tf.delay
+    acc = 0.0
+    for j, bj in enumerate(tf.num):
+        acc = acc + bj * inp[lag - j:lag - j + m]
+    block = x[s0:s0 + m]
+    block[...] = acc
+    a = tf.den[1:]
+    for s in range(s0, s0 + m):
+        xs = x[s]
+        for i, ai in enumerate(a):
+            np.subtract(xs, ai * x[s - 1 - i], out=xs)
+    return block
+
+
+def _check_outputs(y: np.ndarray, label: str):
+    """Raise at the first sample where some chain fails |y| <= DIVERGENCE_LIMIT
+    (NaN included)."""
+    if not (-DIVERGENCE_LIMIT <= y.min() and y.max() <= DIVERGENCE_LIMIT):
+        t = int(np.argmin((np.abs(y) <= DIVERGENCE_LIMIT).all(axis=1)))
+        raise McStabilityError(f"{label} diverged at sample {t}")
+
+
 def _simulate_single(problem: SingleLoopProblem, k: ReducedPidParams, w: np.ndarray) -> np.ndarray:
     """Outputs (L, R) of R single-loop chains started at rest, driven by the
     output disturbances w (L, R)."""
     tf = problem.process
-    b = list(tf.num)
-    a = list(tf.den[1:])
     d = tf.delay
     k1, k2, k3 = k.k1, k.k2, k.k3
 
     n, chains = w.shape
-    h = d + len(b) + len(a)    # rows of rest ahead of sample 0, enough for every lag
+    h = d + len(tf.num) + len(tf.den)    # rows of rest ahead of sample 0, enough for every lag
     u, x = np.zeros((2, h + n, chains))
     y = np.empty((n, chains))
-    e1 = e2 = np.zeros(chains)
-    for t in range(n):
-        s = h + t
-        acc = 0.0
-        for j, bj in enumerate(b):
-            acc = acc + bj * u[s - d - j]
-        for i, ai in enumerate(a):
-            acc = acc - ai * x[s - 1 - i]
-        x[s] = acc
-        yt = acc + w[t]
-        y[t] = yt
-        if not (np.abs(yt) <= DIVERGENCE_LIMIT).all():
-            raise McStabilityError(f"single loop diverged at sample {t}")
-        e = -yt
-        u[s] = u[s - 1] + k1 * e + k2 * e1 + k3 * e2
-        e2, e1 = e1, e
+    e = np.zeros((d + 2, chains))        # e[s0-2], e[s0-1], then the block's errors
+    steps = np.zeros((3 * d + 1, chains))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, n, d):        # a block of d samples reads only earlier u
+            m = min(d, n - t0)
+            s0 = h + t0
+            np.add(_process_block(x, u, tf, s0, m), w[t0:t0 + m], out=y[t0:t0 + m])
+            np.negative(y[t0:t0 + m], out=e[2:m + 2])
+            # u[s] = ((u[s-1] + k1 e[s]) + k2 e[s-1]) + k3 e[s-2]: a running sum
+            # over the rows u[s0-1], k1 e[s0], k2 e[s0-1], k3 e[s0-2], k1 e[s0+1], ...
+            rows = steps[:3 * m + 1]
+            np.multiply(k1, e[2:m + 2], out=rows[1::3])
+            np.multiply(k2, e[1:m + 1], out=rows[2::3])
+            np.multiply(k3, e[:m], out=rows[3::3])
+            np.add.accumulate(rows, axis=0, out=rows)
+            u[s0:s0 + m] = rows[3::3]
+            steps[0] = rows[-1]
+            e[:2] = e[m:m + 2]
+    _check_outputs(y, "single loop")
     return y
 
 
@@ -180,41 +221,35 @@ def _simulate_cascade(
 ) -> np.ndarray:
     """Outer outputs (L, R) of R cascade chains started at rest, driven by the
     outer and inner output disturbances w1, w2 (L, R)."""
-    b1, a1, d1 = list(problem.outer.num), list(problem.outer.den[1:]), problem.outer.delay
-    b2, a2, d2 = list(problem.inner.num), list(problem.inner.den[1:]), problem.inner.delay
+    outer, inner = problem.outer, problem.inner
+    d2 = inner.delay
     k4, k5, k6 = k.k4, k.k5, k.k6
 
     n, chains = w1.shape
-    h = d1 + d2 + len(b1) + len(b2) + len(a1) + len(a2)    # rows of rest ahead of sample 0
+    h = sum(tf.delay + len(tf.num) + len(tf.den) for tf in (outer, inner))    # rows of rest
     u, x1, x2, y2 = np.zeros((4, h + n, chains))
     y1 = np.empty((n, chains))
-    v = e1p = np.zeros(chains)
-    for t in range(n):
-        s = h + t
-        acc2 = 0.0
-        for j, bj in enumerate(b2):
-            acc2 = acc2 + bj * u[s - d2 - j]
-        for i, ai in enumerate(a2):
-            acc2 = acc2 - ai * x2[s - 1 - i]
-        x2[s] = acc2
-        y2t = acc2 + w2[t]
-        y2[s] = y2t
-
-        acc1 = 0.0
-        for j, bj in enumerate(b1):
-            acc1 = acc1 + bj * y2[s - d1 - j]
-        for i, ai in enumerate(a1):
-            acc1 = acc1 - ai * x1[s - 1 - i]
-        x1[s] = acc1
-        y1t = acc1 + w1[t]
-        y1[t] = y1t
-        if not (np.abs(y1t) <= DIVERGENCE_LIMIT).all():
-            raise McStabilityError(f"cascade loop diverged at sample {t}")
-
-        e1 = -y1t
-        v = v + k4 * e1 + k5 * e1p
-        e1p = e1
-        u[s] = k6 * (v - y2t)
+    e = np.zeros((d2 + 1, chains))       # e[s0-1], then the block's outer errors
+    steps = np.zeros((2 * d2 + 1, chains))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, n, d2):       # a block of d2 samples reads only earlier u
+            m = min(d2, n - t0)
+            s0 = h + t0
+            y2t = np.add(_process_block(x2, u, inner, s0, m), w2[t0:t0 + m],
+                         out=y2[s0:s0 + m])
+            np.add(_process_block(x1, y2, outer, s0, m), w1[t0:t0 + m], out=y1[t0:t0 + m])
+            np.negative(y1[t0:t0 + m], out=e[1:m + 1])
+            # v[s] = (v[s-1] + k4 e[s]) + k5 e[s-1]: a running sum over the rows
+            # v[s0-1], k4 e[s0], k5 e[s0-1], k4 e[s0+1], ...
+            rows = steps[:2 * m + 1]
+            np.multiply(k4, e[1:m + 1], out=rows[1::2])
+            np.multiply(k5, e[:m], out=rows[2::2])
+            np.add.accumulate(rows, axis=0, out=rows)
+            ut = np.subtract(rows[2::2], y2t, out=u[s0:s0 + m])
+            np.multiply(k6, ut, out=ut)
+            steps[0] = rows[-1]
+            e[0] = e[m]
+    _check_outputs(y1, "cascade loop")
     return y1
 
 

@@ -302,6 +302,17 @@ def test_validate_matches_analytic(tmp_path, capsys):
     assert payload["burn_in"] == 15000
 
 
+def test_validate_samples_too_few_for_a_standard_error(tmp_path, capsys):
+    path = write(tmp_path, BENCH1)
+    code = main(["validate", str(path), "--params", "2.8408,-4.4059,1.7486",
+                 "--samples", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --samples: ") and err.count("\n") == 1
+    assert "keep 2 after" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]   # no report
+
+
 def test_validate_mode_overrides_problem_file(tmp_path, capsys):
     # the problem file leaves the mode at its fully-correlated default; with
     # independent shocks the analytic side drops the cross term,

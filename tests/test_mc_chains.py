@@ -1,11 +1,13 @@
 """The chain-vectorized Monte-Carlo oracle against one-chain scalar references.
 
 ``pidmov.mc`` steps R independent chains together over time-major (L, R)
-arrays. Each column must be the chain that ``oracles.mc_chain_single`` /
-``mc_chain_cascade`` produce one scalar sample at a time from the same
-disturbances, divergence must be caught at the same sample, and the chain
-layout, the draw order and the reported counts must follow the documented
-rule.
+arrays, one dead time of samples per step. Each column must equal, bit for
+bit, the chain that ``oracles.mc_chain_single`` / ``mc_chain_cascade``
+produce one scalar sample at a time from the same disturbances with the same
+float operations in the same order, whatever the process order and however
+the chain length falls on the dead time; divergence must be caught at the
+same sample, and the chain layout, the draw order and the reported counts
+must follow the documented rule.
 """
 
 import math
@@ -16,9 +18,11 @@ from scipy.signal import lfilter
 
 from pidmov import (
     CascadeParams,
+    DiscreteTransferFunction,
     McConfig,
     McStabilityError,
     ReducedPidParams,
+    SingleLoopProblem,
     cascade_impulse,
     load_benchmark,
     load_case_study,
@@ -32,12 +36,26 @@ from oracles import mc_chain_cascade, mc_chain_single
 BENCH1 = load_benchmark(1)
 AIR = load_case_study("air_single").loop
 IMMERSION = load_case_study("immersion_cascade").loop
+# three numerator terms and a third-order denominator, closed-loop radius 0.77
+THIRD_ORDER = SingleLoopProblem(
+    process=DiscreteTransferFunction(num=(0.1, 0.05, 0.02), den=(1.0, -0.6, -0.01, 0.03),
+                                     delay=3),
+    disturbance=DiscreteTransferFunction(num=(1.0,), den=(1.0, -0.6)),
+)
 SINGLE_CASES = {
     "bench1": (BENCH1, (2.8408, -4.4059, 1.7486)),
     "air": (AIR, (23.1165, -35.5929, 14.4531)),
+    "third_order": (THIRD_ORDER, (1.5, -1.2, 0.2)),
 }
 CASCADE_K = (2.7638, -2.6554, -0.8436)
 ASSESSED_CASCADE_K = (2.5223, -2.5218, -1.1225)
+
+
+def with_lengths(names):
+    """Each name at chain lengths that are, and are not, whole numbers of dead
+    times; the 3000-sample case keeps the bare name as its id."""
+    return [pytest.param(name, n, id=name if n == 3000 else f"{name}-{n}")
+            for name in names for n in (3000, 2999, 7, 1)]
 
 
 def disturbance(tf, shocks):
@@ -47,33 +65,33 @@ def disturbance(tf, shocks):
 
 
 def assert_columns_match(y, refs):
+    assert y.shape[1] == len(refs)
     for col, ref in zip(y.T, refs):
-        assert col.shape == ref.shape
-        np.testing.assert_allclose(col, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.array_equal(col, ref)
 
 
 def diverged_sample(excinfo) -> int:
     return int(str(excinfo.value).rsplit("at sample ", 1)[1])
 
 
-@pytest.mark.parametrize("name", sorted(SINGLE_CASES))
-def test_single_columns_match_scalar_reference(name):
+@pytest.mark.parametrize("name, n", with_lengths(sorted(SINGLE_CASES)))
+def test_single_columns_match_scalar_reference(name, n):
     problem, k = SINGLE_CASES[name]
     rng = np.random.default_rng(7)
     w = disturbance(problem.disturbance,
-                    rng.standard_normal((3000, 4)) * math.sqrt(problem.noise_variance))
+                    rng.standard_normal((n, 4)) * math.sqrt(problem.noise_variance))
     y = _simulate_single(problem, ReducedPidParams(*k), w)
     refs = [mc_chain_single(problem, k, col, DIVERGENCE_LIMIT) for col in w.T]
     assert all(t is None for _, t in refs)
     assert_columns_match(y, [ref for ref, _ in refs])
 
 
-@pytest.mark.parametrize("mode", ["independent", "fully_correlated"])
-def test_cascade_columns_match_scalar_reference(mode):
+@pytest.mark.parametrize("mode, n", with_lengths(["independent", "fully_correlated"]))
+def test_cascade_columns_match_scalar_reference(mode, n):
     rng = np.random.default_rng(8)
     s1, s2 = (math.sqrt(v) for v in IMMERSION.noise_variances)
-    z1 = rng.standard_normal((3000, 4))
-    z2 = z1 if mode == "fully_correlated" else rng.standard_normal((3000, 4))
+    z1 = rng.standard_normal((n, 4))
+    z2 = z1 if mode == "fully_correlated" else rng.standard_normal((n, 4))
     w1 = disturbance(IMMERSION.outer_disturbance, s1 * z1)
     w2 = disturbance(IMMERSION.inner_disturbance, s2 * z2)
     y = _simulate_cascade(IMMERSION, CascadeParams(*CASCADE_K), w1, w2)
@@ -88,13 +106,14 @@ SCALES = np.array([1.0, 1e3, 1e6])
 
 
 def test_single_divergence_at_reference_sample():
-    k = (40.0, 40.0, 40.0)
     w = np.random.default_rng(9).standard_normal((500, 3)) * SCALES
-    ts = [mc_chain_single(BENCH1, k, col, DIVERGENCE_LIMIT)[1] for col in w.T]
-    assert None not in ts and len(set(ts)) == 3
-    with pytest.raises(McStabilityError, match="single loop diverged") as excinfo:
-        _simulate_single(BENCH1, ReducedPidParams(*k), w)
-    assert diverged_sample(excinfo) == min(ts)
+    for problem, k in [(BENCH1, (40.0, 40.0, 40.0)), (THIRD_ORDER, (60.0, 60.0, 60.0))]:
+        ts = [mc_chain_single(problem, k, col, DIVERGENCE_LIMIT)[1] for col in w.T]
+        assert None not in ts and len(set(ts)) == 3
+        assert min(ts) % problem.process.delay != 0    # inside a dead-time block
+        with pytest.raises(McStabilityError, match="single loop diverged") as excinfo:
+            _simulate_single(problem, ReducedPidParams(*k), w)
+        assert diverged_sample(excinfo) == min(ts)
 
 
 def test_cascade_divergence_at_reference_sample():
@@ -104,6 +123,7 @@ def test_cascade_divergence_at_reference_sample():
     ts = [mc_chain_cascade(IMMERSION, k, a, b, DIVERGENCE_LIMIT)[1]
           for a, b in zip(w1.T, w2.T)]
     assert None not in ts and len(set(ts)) == 3
+    assert min(ts) % IMMERSION.inner.delay != 0    # inside a dead-time block
     with pytest.raises(McStabilityError, match="cascade loop diverged") as excinfo:
         _simulate_cascade(IMMERSION, CascadeParams(*k), w1, w2)
     assert diverged_sample(excinfo) == min(ts)
@@ -124,6 +144,12 @@ def test_nan_output_counts_as_divergence():
     assert t == 41 + IMMERSION.outer.delay
     with pytest.raises(McStabilityError, match=f"at sample {t}$"):
         _simulate_cascade(IMMERSION, CascadeParams(*CASCADE_K), w1, w2)
+    # an outer NaN inside a dead-time block of the cascade
+    w1[44, 1] = np.nan
+    assert mc_chain_cascade(IMMERSION, CASCADE_K, w1[:, 1], w1[:, 1], DIVERGENCE_LIMIT)[1] == 44
+    assert 44 % IMMERSION.inner.delay != 0
+    with pytest.raises(McStabilityError, match="at sample 44$"):
+        _simulate_cascade(IMMERSION, CascadeParams(*CASCADE_K), w1, w1)
 
 
 def test_chain_layout():
@@ -141,10 +167,19 @@ def test_chain_layout():
 
 
 def test_chains_that_keep_no_sample_rejected():
-    # 2 chains of 10000 samples, each burning 10000
-    with pytest.raises(ValueError, match="keep none"):
+    # 2 chains of 10000 samples, each burning 10000, then 9999: 0 and 2 kept
+    with pytest.raises(ValueError, match="keep 0 after"):
         McConfig(samples=20_001, burn_in=20_000)
-    McConfig(samples=20_001, burn_in=19_999)
+    with pytest.raises(ValueError, match="keep 2 after"):
+        McConfig(samples=20_001, burn_in=19_999)
+    McConfig(samples=20_001, burn_in=19_997)    # 2 x 2 kept
+    # fewer than two batches of two leave a zero batch spread, or none at all
+    for samples in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"keep {samples} after"):
+            McConfig(samples=samples)
+    est = mc_variance_single(BENCH1, ReducedPidParams(*SINGLE_CASES["bench1"][1]),
+                             McConfig(samples=4))
+    assert est.samples == 4 and est.standard_error > 0
 
 
 def test_one_chain_is_the_scalar_simulation():
