@@ -264,7 +264,7 @@ def cmd_assess(args) -> int:
 
     if args.validate:
         try:
-            report.validation = _mc_validation(loop, report.params_mean, mc_cfg)
+            report.validation = _mc_validation(loop, report.params_best, mc_cfg)
         except McStabilityError as exc:
             print(f"validation failed: {exc}", file=sys.stderr)
             return EXIT_FAILURE
@@ -284,7 +284,7 @@ def cmd_assess(args) -> int:
     if report.mv is not None:
         print(f"MV:          {report.mv:.6g}")
         print(f"eta = MV/MOV: {report.eta:.4f}")
-    print(f"params:      {np.array2string(report.params_mean, precision=4)}")
+    print(f"params:      {np.array2string(report.params_best, precision=4)} (best run)")
     if report.validation is not None:
         v = report.validation
         print(f"MC check:    {v['estimate']:.6g} vs analytic {v['analytic']:.6g} "

@@ -7,27 +7,44 @@ agreement between the two is evidence, not tautology (the analytic shock
 response is consulted only to refuse loops whose response does not decay
 before a long simulation is wasted on them).
 
-A run of N samples is split into R = max(1, N // CHAIN_SAMPLES) independent
-chains of L = N // R samples each, stepped together over the (R,) rows of
-time-major (L, R) arrays, one dead time at a time: the process inputs of the
-next d samples (d2, the inner dead time, in the cascade) are already known.
-So each numerator term, the outputs and errors, and the controller's running
-sum (one np.add.accumulate, which adds row after row) are one expression per
+A run of N samples with burn-in B is split into independent chains sized by
+the loop's own settling time. The settling probe runs the oracle's own
+simulators on the loop's response to a unit shock from rest, one column per
+noise source, each through its disturbance filter. Scaled by each source's
+noise standard deviation, the columns give the response energy per sample:
+the square of their sum with fully correlated cascade shocks, the sum of
+their squares otherwise. From rest Var(y_t) grows as the energy up to t, so
+``settle`` is the number of samples up to and including the first one after
+which the response holds at most SETTLE_TOL of its total energy: from there
+on each sample's variance falls short of the stationary one by at most
+SETTLE_TOL. The probe's horizon starts at 16 dead times (of both loops in
+the cascade) and doubles until its last half holds at most SETTLE_TOL of the
+energy, stopping once it reaches B; a loop that has not settled by then has
+no ``settle`` (None) and runs as one chain. Otherwise the run has
+R = max(1, B // settle) chains, capped at N - B - MIN_KEPT_SAMPLES + 1 so it
+keeps at least MIN_KEPT_SAMPLES samples, of L = N // R samples each, and
+each chain discards its own B // R >= settle samples.
+
+The chains are stepped together over the (R,) rows of time-major (L, R)
+arrays, one dead time at a time: the process inputs of the next d samples
+(d2, the inner dead time, in the cascade) are already known. So each
+numerator term, the outputs and errors, and the controller's running sum
+(one np.add.accumulate, which adds row after row) are one expression per
 block, and only the denominator recursion runs sample by sample. Every
 sample keeps the float operations, in their order, of the plain
 sample-by-sample simulation, so the outputs equal it bit for bit while the
-Python loop runs about L / d times, not N. Each chain starts at rest, has
-its own shocks (one (R, L) draw per noise source) and discards its own
-burn_in // R samples. Below 2 * CHAIN_SAMPLES there is one chain. The
-estimate is the variance of all kept samples; its standard error is the
-spread of the variances of 50 equal batches of the kept samples, laid out
-chain after chain, over sqrt(50) (fewer batches, at least two of two
-samples, for runs that keep fewer than 5000).
+Python loop runs about L / d times, not N. Each chain starts at rest and has
+its own shocks (one (R, L) draw per noise source). The estimate is the
+variance of all kept samples; its standard error is the spread of the
+variances of 50 equal batches of the kept samples, laid out chain after
+chain, over sqrt(50) (fewer batches, at least two of two samples, for runs
+that keep fewer than 5000).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,10 +55,10 @@ from .lti import DiscreteTransferFunction
 from .singleloop import ReducedPidParams, SingleLoopProblem, closed_loop_impulse
 from .tlbo import whole
 
-CHAIN_SAMPLES = 10_000
 DIVERGENCE_LIMIT = 1e9
 VALIDATION_RTOL = 0.02    # accepted relative error of an estimate against the analytic value
 MIN_KEPT_SAMPLES = 4      # two batches of two, the fewest with a nonzero batch spread
+SETTLE_TOL = 1e-6         # shock-response energy a chain may leave after its burn-in
 
 
 class McStabilityError(RuntimeError):
@@ -67,17 +84,19 @@ class McConfig:
         if self.correlation_mode not in ("independent", "fully_correlated"):
             raise ValueError(f"unknown correlation mode {self.correlation_mode!r}")
         object.__setattr__(self, "burn_in", burn)
-        chains, length, chain_burn = self.layout
-        kept = chains * (length - chain_burn)
+        kept = self.samples - burn
         if kept < MIN_KEPT_SAMPLES:
-            raise ValueError(f"{chains} chain(s) of {length} samples keep {kept} after a "
-                             f"burn-in of {chain_burn} samples each, fewer than the "
+            raise ValueError(f"{self.samples} samples keep {kept} after a burn-in of "
+                             f"{burn} samples, fewer than the "
                              f"{MIN_KEPT_SAMPLES} the standard error needs")
 
-    @property
-    def layout(self) -> tuple[int, int, int]:
-        """Chains, samples per chain and burn-in per chain."""
-        chains = max(1, self.samples // CHAIN_SAMPLES)
+    def layout(self, settle: int | None) -> tuple[int, int, int]:
+        """Chains, samples per chain and burn-in per chain for a loop that
+        settles within ``settle`` samples (None: not within the burn-in)."""
+        chains = 1
+        if settle is not None:
+            cap = self.samples - self.burn_in - MIN_KEPT_SAMPLES + 1
+            chains = max(1, min(self.burn_in // settle, cap))
         return chains, self.samples // chains, self.burn_in // chains
 
 
@@ -89,6 +108,7 @@ class McEstimate:
     burn_in: int
     mode: str
     chains: int = 1
+    settle: int | None = None
 
     def validation_block(self, analytic: float) -> dict:
         rel = abs(self.estimate - analytic) / analytic if analytic else math.inf
@@ -98,6 +118,7 @@ class McEstimate:
             "samples": self.samples,
             "burn_in": self.burn_in,
             "chains": self.chains,
+            "settle": self.settle,
             "estimate": self.estimate,
             "standard_error": se,
             "analytic": analytic,
@@ -108,7 +129,7 @@ class McEstimate:
         }
 
 
-def _variance_with_se(y: np.ndarray, burn: int, mode: str) -> McEstimate:
+def _variance_with_se(y: np.ndarray, burn: int, mode: str, settle: int | None) -> McEstimate:
     """Estimate from time-major outputs (L, R), each chain after its burn-in."""
     chains = y.shape[1]
     post = y[burn:].T.ravel()
@@ -125,6 +146,7 @@ def _variance_with_se(y: np.ndarray, burn: int, mode: str) -> McEstimate:
         burn_in=chains * burn,
         mode=mode,
         chains=chains,
+        settle=settle,
     )
 
 
@@ -253,18 +275,65 @@ def _simulate_cascade(
     return y1
 
 
+def _settle(energy: Callable[[int], np.ndarray], horizon: int, burn_in: int) -> int | None:
+    """Samples up to and including the first one after which the shock
+    response energy per sample, ``energy(n)`` over n samples from rest, holds
+    at most SETTLE_TOL of its total; None when the horizon, doubled from
+    ``horizon``, reaches ``burn_in`` before its last half holds that little.
+    A response that diverges is reported as the probe's, at its own sample."""
+    while True:
+        try:
+            e = energy(horizon)
+        except McStabilityError as exc:
+            raise McStabilityError(
+                f"settling probe (unit-shock response over {horizon} samples): {exc}") from None
+        after = np.append(np.cumsum(e[:0:-1])[::-1], 0.0)    # energy after each sample
+        limit = SETTLE_TOL * (e[0] + after[0])
+        if after[horizon // 2 - 1] <= limit:
+            return int(np.argmax(after <= limit)) + 1
+        if horizon >= burn_in:
+            return None
+        horizon *= 2
+
+
+def _impulse(n: int, columns: int) -> np.ndarray:
+    """A unit shock at sample 0 in each of ``columns`` chains of n samples."""
+    x = np.zeros((n, columns))
+    x[0] = 1.0
+    return x
+
+
+def _shock_response_single(problem: SingleLoopProblem, k: ReducedPidParams,
+                           n: int) -> np.ndarray:
+    """The oracle's output (n, 1) for a unit noise shock at sample 0."""
+    return _simulate_single(problem, k, _filter_path(problem.disturbance, _impulse(n, 1)))
+
+
+def _shock_response_cascade(problem: CascadeProblem, k: CascadeParams,
+                            n: int) -> np.ndarray:
+    """The oracle's outer outputs (n, 2) for a unit outer noise shock (column
+    0) and a unit inner one (column 1) at sample 0."""
+    shock = _impulse(n, 2)
+    w1 = _filter_path(problem.outer_disturbance, shock * (1.0, 0.0))
+    w2 = _filter_path(problem.inner_disturbance, shock * (0.0, 1.0))
+    return _simulate_cascade(problem, k, w1, w2)
+
+
 def mc_variance_single(
     problem: SingleLoopProblem, k: ReducedPidParams, cfg: McConfig
 ) -> McEstimate:
     """Empirical output variance of the stochastic single loop."""
-    probe = replace(problem, truncation=16 * problem.process.delay)
+    d = problem.process.delay
+    probe = replace(problem, truncation=16 * d)
     _check_decay([closed_loop_impulse(probe, k)], "single loop")
+    settle = _settle(lambda n: _shock_response_single(problem, k, n)[:, 0] ** 2,
+                     16 * d, cfg.burn_in)
 
-    chains, length, burn = cfg.layout
+    chains, length, burn = cfg.layout(settle)
     rng = np.random.default_rng(cfg.seed)
     shocks = rng.standard_normal((chains, length)).T * math.sqrt(problem.noise_variance)
     w = _filter_path(problem.disturbance, shocks)
-    return _variance_with_se(_simulate_single(problem, k, w), burn, "single")
+    return _variance_with_se(_simulate_single(problem, k, w), burn, "single", settle)
 
 
 def mc_variance_cascade(
@@ -276,19 +345,23 @@ def mc_variance_cascade(
     one, which is the reading under which the analytic cross term holds
     exactly; in independent mode the cross contribution averages out.
     """
-    probe = replace(problem, truncation=16 * (problem.outer.delay + problem.inner.delay))
+    d = problem.outer.delay + problem.inner.delay
+    probe = replace(problem, truncation=16 * d)
     _check_decay(cascade_impulse(probe, k), "cascade")
-
-    chains, length, burn = cfg.layout
     s1 = math.sqrt(problem.noise_variances[0])
     s2 = math.sqrt(problem.noise_variances[1])
+    correlated = cfg.correlation_mode == "fully_correlated"
+
+    def energy(n):
+        y = _shock_response_cascade(problem, k, n) * (s1, s2)
+        return y.sum(axis=1) ** 2 if correlated else (y ** 2).sum(axis=1)
+
+    settle = _settle(energy, 16 * d, cfg.burn_in)
+    chains, length, burn = cfg.layout(settle)
     rng = np.random.default_rng(cfg.seed)
     z1 = rng.standard_normal((chains, length)).T
-    if cfg.correlation_mode == "fully_correlated":
-        z2 = z1
-    else:
-        z2 = rng.standard_normal((chains, length)).T
+    z2 = z1 if correlated else rng.standard_normal((chains, length)).T
     w1 = _filter_path(problem.outer_disturbance, s1 * z1)
     w2 = _filter_path(problem.inner_disturbance, s2 * z2)
     y1 = _simulate_cascade(problem, k, w1, w2)
-    return _variance_with_se(y1, burn, cfg.correlation_mode)
+    return _variance_with_se(y1, burn, cfg.correlation_mode, settle)

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from pidmov import CascadeParams, cascade_impulse
+from pidmov import CascadeParams, cascade_impulse, cpa_objective
 from pidmov.cli import _parse_loop, main
 
 BENCH1 = {
@@ -71,20 +72,59 @@ def test_assess_cascade_by_file_shape(tmp_path, capsys):
     assert min(r["fitness"] for r in payload["per_run"]) <= 4.8117e-4 * 1.001
 
 
-def test_assess_validate_independent_cascade(tmp_path):
-    # the analytic side of an independent-shock check has no cross term
-    doc = {**CASCADE, "mc": {"mode": "independent", "samples": 200000, "seed": 1}}
+def test_assess_validate_independent_cascade(tmp_path, capsys):
+    # the gain box keeps k5 >= -1.2, so the best run, (1.206, -1.2, -1.173),
+    # is stable (closed-loop radius 0.9977); the mode comes from the problem
+    # file, and the analytic side of an independent-shock check has no cross
+    # term
+    doc = {**CASCADE, "tlbo": {"seed": 11, "bounds": [-1.2, 3]},
+           "mc": {"mode": "independent", "samples": 200000, "seed": 1}}
     path = write(tmp_path, doc, "immersion.json")
     code = main(["assess", str(path), "--runs", "2", "--validate", "--out", str(tmp_path)])
+    assert "MC check:" in capsys.readouterr().out
     assert code == 0
     payload = json.loads((tmp_path / "immersion_assess.json").read_text())
     v = payload["validation"]
     assert v["mode"] == "independent"
+    assert payload["closed_loop_radius"] < 1
     loop = _parse_loop(doc)
-    phi1, phi2 = cascade_impulse(loop, CascadeParams(*payload["params"]["mean"]))
+    phi1, phi2 = cascade_impulse(loop, CascadeParams(*payload["params"]["best"]))
     assert v["analytic"] == pytest.approx(
         float(phi1 @ phi1) * 5e-5 + float(phi2 @ phi2) * 5e-4, rel=1e-12)
     assert v["relative_error"] <= 0.02
+    # settles within 2245 samples: 20000 // 2245 = 8 chains of 25000
+    assert (v["settle"], v["chains"], v["samples"]) == (2245, 8, 200000)
+
+
+def test_assess_validate_unstable_best_run_fails(tmp_path, capsys):
+    # in the default box the best run at this seed is unstable (closed-loop
+    # radius 1.0021, as every cascade optimum found so far): the settling
+    # probe's shock response crosses the divergence limit, the check fails
+    # saying so, and no report is written
+    doc = {**CASCADE, "mc": {"mode": "independent", "samples": 200000, "seed": 1}}
+    path = write(tmp_path, doc, "immersion.json")
+    code = main(["assess", str(path), "--runs", "2", "--validate", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "validation failed: settling probe (unit-shock response over 20480 samples): "
+        "cascade loop diverged at sample 11560\n")
+    assert not (tmp_path / "immersion_assess.json").exists()
+
+
+def test_assess_validates_the_best_run(tmp_path, capsys):
+    # the Monte-Carlo check and the printed gains are the best run's point,
+    # where the report also takes its closed-loop radius, not the mean of the
+    # run optima, which no run need have found
+    doc = {**BENCH1, "mc": {"samples": 200000, "seed": 1}}
+    path = write(tmp_path, doc)
+    code = main(["assess", str(path), "--runs", "2", "--validate", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads((tmp_path / "problem_assess.json").read_text())
+    best = np.array(payload["params"]["best"])
+    assert not np.array_equal(best, payload["params"]["mean"])
+    assert payload["validation"]["analytic"] == cpa_objective(_parse_loop(doc))(best)
+    assert f"params:      {np.array2string(best, precision=4)} (best run)\n" in out
 
 
 def test_assess_history_export(tmp_path):
@@ -297,9 +337,13 @@ def test_validate_matches_analytic(tmp_path, capsys):
     assert "rel error" in out
     payload = json.loads((tmp_path / "problem_validate.json").read_text())
     assert payload["relative_error"] < 0.02
-    # --samples re-derives the burn-in from the new sample count
-    assert payload["samples"] == 150000
-    assert payload["burn_in"] == 15000
+    # --samples re-derives the burn-in, 15000, from the new sample count; bench 1
+    # settles within 42 samples, so 15000 // 42 = 357 chains of 420 samples
+    # each burn 42
+    assert payload["settle"] == 42
+    assert payload["chains"] == 357
+    assert payload["samples"] == 357 * 420
+    assert payload["burn_in"] == 357 * 42
 
 
 def test_validate_samples_too_few_for_a_standard_error(tmp_path, capsys):
@@ -323,15 +367,17 @@ def test_validate_mode_overrides_problem_file(tmp_path, capsys):
     assert "mode independent" in capsys.readouterr().out
     payload = json.loads((tmp_path / "immersion_validate.json").read_text())
     assert payload["mode"] == "independent"
-    assert payload["samples"] == 20000
+    # settles within 180 samples: 2000 // 180 = 11 chains of 1818 samples
+    assert (payload["settle"], payload["chains"]) == (180, 11)
+    assert (payload["samples"], payload["burn_in"]) == (11 * 1818, 11 * 181)
     assert payload["analytic"] == pytest.approx(5.108e-4, rel=1e-3)
     assert code == 0
 
 
 def test_validate_failure_says_why(tmp_path, capsys):
-    # 2000 samples at this seed miss the analytic variance by 7.2%: the exit
-    # code alone used to carry the verdict
-    path = write(tmp_path, {**BENCH1, "mc": {"seed": 1}})
+    # 2000 samples (4 chains of 500) at this seed miss the analytic variance
+    # by 9.4%: the exit code alone used to carry the verdict
+    path = write(tmp_path, {**BENCH1, "mc": {"seed": 2}})
     code = main(["validate", str(path), "--params", "2.8408,-4.4059,1.7486",
                  "--samples", "2000", "--out", str(tmp_path)])
     captured = capsys.readouterr()
@@ -370,14 +416,15 @@ def test_reports_identical_apart_from_timestamps(tmp_path):
 
 def test_validate_notes_underpowered_check(tmp_path, capsys):
     # at the assessed immersion gains 20000 independent-shock samples leave a
-    # standard error near 2.7%, too wide for the 2% check to mean anything
+    # standard error near 2.9%, too wide for the 2% check to mean anything; the
+    # loop does not settle within the 2000-sample burn-in, so it is one chain
     path = write(tmp_path, CASCADE, "immersion.json")
     code = main(["validate", str(path), "--params", "2.5223,-2.5218,-1.1225",
                  "--samples", "20000", "--mode", "independent", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "immersion_validate.json").read_text())
     assert payload["underpowered"] is True
-    assert payload["chains"] == 2
+    assert (payload["settle"], payload["chains"], payload["samples"]) == (None, 1, 20000)
     assert payload["z"] == pytest.approx(
         (payload["estimate"] - payload["analytic"]) / payload["standard_error"])
     assert "note: underpowered" in out
@@ -393,16 +440,18 @@ def test_validate_powered_check_has_no_note(tmp_path, capsys):
     payload = json.loads((tmp_path / "problem_validate.json").read_text())
     assert code == 0
     assert payload["underpowered"] is False
-    assert payload["chains"] == 40
+    # 40000 // 42 = 952 chains of 420 samples
+    assert (payload["settle"], payload["chains"], payload["samples"]) == (42, 952, 399840)
     assert "underpowered" not in out
 
 
 def test_assess_validate_notes_underpowered_check(tmp_path, capsys):
-    doc = {**CASCADE, "mc": {"mode": "independent", "samples": 20000, "seed": 1}}
-    path = write(tmp_path, doc, "immersion.json")
+    # 2000 samples of bench 1 leave 3 standard errors near 24% of the estimate
+    doc = {**BENCH1, "mc": {"samples": 2000, "seed": 1}}
+    path = write(tmp_path, doc)
     code = main(["assess", str(path), "--runs", "2", "--validate", "--out", str(tmp_path)])
     out = capsys.readouterr().out
-    v = json.loads((tmp_path / "immersion_assess.json").read_text())["validation"]
+    v = json.loads((tmp_path / "problem_assess.json").read_text())["validation"]
     assert v["underpowered"] is True
     assert "note: underpowered" in out
     assert code == (0 if v["relative_error"] <= 0.02 else 1)
