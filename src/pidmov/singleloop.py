@@ -15,9 +15,11 @@ with nbar the disturbance impulse response, so its first p samples are one
 output variance phi'phi * sigma_a^2 is the objective the optimizer drives
 down.
 
-Every closed-loop filter here goes through ``_filter``, which calls the C
-routine behind ``scipy.signal.lfilter`` directly: that is private scipy API
-(checked equal to ``lfilter`` on scipy 1.17.1, see tests/test_filter.py).
+Every closed-loop filter here goes through ``_LoopKernel.responses``, one
+``_filter`` call per candidate over all the signals it needs. ``_filter``
+calls the C routine behind ``scipy.signal.lfilter`` directly: that is
+private scipy API (checked equal to ``lfilter`` on scipy 1.17.1, see
+tests/test_filter.py).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 from scipy.signal import _sigtools
@@ -202,7 +205,21 @@ class _LoopKernel:
         gain set, over the truncation."""
         kappa, _, a_cl = self.closed_loop_batch([ks])
         f0, f1 = forcing
-        return _filter(a_cl[0], f0 + kappa[0] * f1)
+        x = f0 + kappa[0] * f1
+        return self.responses(a_cl, x.reshape(1, -1, x.shape[-1]))[0].reshape(x.shape)
+
+    def responses(self, a_cl, x, zi=None) -> np.ndarray:
+        """1/A_cl of row i of the (m, n) a_cl applied to every signal that
+        candidate needs, in one ``_filter`` call per row: x is the
+        (1, signals, width) forcing all rows share or the (m, signals, width)
+        forcing of each, and zi, if given, the (m, signals, n - 1) states the
+        signals resume from. Causal, so a signal zero-padded to the width
+        keeps the bits of its own shorter call."""
+        out = np.empty((len(a_cl), *x.shape[1:]))
+        rows = x if len(x) == len(a_cl) else repeat(x[0])
+        for i, (a, xi, z) in enumerate(zip(a_cl, rows, repeat(None) if zi is None else zi)):
+            out[i] = _filter(a, xi, z)
+        return out
 
     @cached_property
     def _unit(self):
@@ -212,16 +229,18 @@ class _LoopKernel:
             return (*self.forcing([1.0]), self.loop.noise_variance)
         return (*self.forcing(np.sqrt(self.loop.noise_variances)), 1.0)
 
-    def variance_batch(self, ks) -> np.ndarray:
-        """Truncated output variance of every row of an (n, 3) gain matrix,
-        penalized where it diverges: one filter of the row's forcing
-        f0 + kappa f1 (one expression over the batch) through its 1/A_cl,
-        and every row's sum of squares in one stacked product."""
-        kappa, _, a_cl = self.closed_loop_batch(ks)
-        f0, f1, scale = self._unit
-        phi = f0 + kappa[:, None] * f1
-        for i, a in enumerate(a_cl):
-            phi[i] = _filter(a, phi[i])
+    def shock_forcing(self, kappa) -> np.ndarray:
+        """The forcing f0 + kappa f1 of the variance objective's shock
+        response under each kappa: one (m, p) row per kappa in the cascade,
+        and in the single loop, where kappa is 1, one (1, p) row all share."""
+        f0, f1, _ = self._unit
+        return (f0 + f1)[None] if self.single else f0 + kappa[:, None] * f1
+
+    def sum_of_squares(self, phi) -> np.ndarray:
+        """Truncated output variance of each (m, p) row of shock responses,
+        penalized where it diverges: every row's sum of squares in one
+        stacked product."""
+        scale = self._unit[2]
         # the (1, p) @ (p, 1) product of each row is the ddot np.vdot makes,
         # so a finite sum is guarded_variance's bit for bit; only the rows
         # whose sum is not finite pay for its ordered penalty
@@ -230,6 +249,13 @@ class _LoopKernel:
         bad = ~np.isfinite(v)
         v[bad] = [guarded_variance(row, scale) for row in phi[bad]]
         return v
+
+    def variance_batch(self, ks) -> np.ndarray:
+        """Truncated output variance of every row of an (n, 3) gain matrix,
+        penalized where it diverges: each row's shock response through its
+        1/A_cl, then ``sum_of_squares``."""
+        kappa, _, a_cl = self.closed_loop_batch(ks)
+        return self.sum_of_squares(self.responses(a_cl, self.shock_forcing(kappa)[:, None])[:, 0])
 
     def variance(self, ks) -> float:
         """Truncated output variance of one gain set: a batch of one row."""

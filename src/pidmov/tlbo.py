@@ -196,8 +196,9 @@ def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
             # Teacher phase: all moves computed from the phase-start snapshot.
             teacher = pop[np.arange(ids.size), np.argmin(fit, axis=1)]
             mean = pop.mean(axis=1)
-            tf = np.round(1.0 + np.array([rng.random(npop) for rng in rngs]))
-            r = np.array([rng.random(npop) for rng in rngs])
+            # one draw per run: tf's npop uniforms, then r's, as two draws make them
+            u = np.array([rng.random(2 * npop) for rng in rngs])
+            tf, r = np.round(1.0 + u[:, :npop]), u[:, npop:]
             phase(r[..., None] * (teacher[:, None] - tf[..., None] * mean[:, None]))
         else:
             # Learner phase: random distinct partner per learner; move toward

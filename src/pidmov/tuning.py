@@ -8,7 +8,8 @@ truncated variance. Both enter the scalarized objective
 
 where IAE is accumulated per sample of the step response (the tracking term
 is excited by the setpoint alone, the variance term by the disturbances
-alone).
+alone). Both responses run through the same 1/A_cl, so each candidate's
+step and shock response are one filter call.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from scipy.signal import lfiltic
 
 from .cascade import CascadeProblem
 from .reports import TuningReport, TuningRow
-from .singleloop import (AssessmentError, SingleLoopProblem, _filter, _LoopKernel,
-                         seeded_runs, summarize_problem)
+from .singleloop import (AssessmentError, SingleLoopProblem, _LoopKernel, seeded_runs,
+                         summarize_problem)
 from .tlbo import DIVERGENCE_SENTINEL, TlboConfig, divergence_penalty, finite, whole
 
 DIVERGENCE_LIMIT_FACTOR = 1e6   # |y| beyond this multiple of the setpoint -> unstable
@@ -118,20 +119,19 @@ def _stage_bounds(stage_params, horizon) -> list[tuple[int, int]]:
     return list(zip(switches, switches[1:] + [horizon]))
 
 
-def _resume(a_cl: np.ndarray, x: np.ndarray, past: np.ndarray) -> np.ndarray:
-    """1/A_cl applied to x, continuing from the earlier outputs ``past``."""
-    return _filter(a_cl, x, lfiltic([1.0], a_cl, past[::-1]) if past.size else None)
-
-
 def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
-           e: np.ndarray, y2: np.ndarray, s: int = 0, corr=None) -> np.ndarray:
+           e: np.ndarray, y2: np.ndarray, s: int = 0, corr=None,
+           phi: np.ndarray | None = None) -> np.ndarray:
     """Run the step loop under the gain sets in the rows of kappa (m,),
     p (m, k) and a_cl (m, n) from sample s to the end of the (m, stop) rows
     e and y2: fill e[:, s:] with the tracking errors r - y and y2[:, s:] with
     the cascade's inner outputs (zeros in the single loop), continuing from
-    the samples before s. Return each row's first sample where an output
-    left its divergence limit or was not finite, or stop if none did. Call
-    it inside ``np.errstate`` that ignores overflow and invalid operations.
+    the samples before s; with an (m, p) ``phi``, fill it with each row's
+    shock response of the variance objective too. Every signal of a row goes
+    through its 1/A_cl in one ``kernel.responses`` call. Return each row's
+    first sample where an output left its divergence limit or was not
+    finite, or stop if none did. Call it inside ``np.errstate`` that ignores
+    overflow and invalid operations.
 
     The forcing of e is amplitude (base + kappa inner), a finite pulse; at a
     switch s > 0 (the record runs a batch of one row), ``corr`` carries the
@@ -139,20 +139,40 @@ def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
     """
     limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
     stop = e.shape[1]
-    lead = kernel.base + kappa[:, None] * kernel.inner
-    x = np.zeros_like(e)
-    x[:, : lead.shape[1]] = amplitude * lead[:, :stop]
+    cascade = not kernel.single
+    # one row of forcings all candidates share in the single loop, where
+    # kappa is 1, and one per candidate in the cascade: e's, y2's, phi's
+    rows = len(kappa) if cascade else 1
+    signals = [e, y2] if cascade else [e]
+    width = stop - s if phi is None else max(stop - s, phi.shape[1])
+    x = np.zeros((rows, len(signals) + (phi is not None), width))
+    lead = amplitude * (kernel.base + (kappa if cascade else np.ones(1))[:, None] * kernel.inner)
+    xe = np.zeros((rows, stop))
+    xe[:, : lead.shape[1]] = lead[:, :stop]
     if s:
-        x -= np.convolve(kernel.path, corr)[:stop]
-    for i, a in enumerate(a_cl):
-        e[i, s:] = _resume(a, x[i, s:], e[i, :s])
-        if not kernel.single:
+        xe -= np.convolve(kernel.path, corr)[:stop]
+    x[:, 0, : stop - s] = xe[:, s:]
+    if cascade:
+        for i in range(rows):
             f = kappa[i] * amplitude * np.convolve(p[i], np.ones(stop))[:stop]
             if s:
                 f += corr
-            y2[i, s:] = _resume(a, np.convolve(kernel.inner, f)[s:stop], y2[i, :s])
-    # the inner output may run 100x further before the loop counts as lost
-    kept = (np.abs(amplitude - e[:, s:]) <= limit) & (np.abs(y2[:, s:]) <= 100.0 * limit)
+            x[i, 1, : stop - s] = np.convolve(kernel.inner, f)[s:stop]
+    if phi is not None:
+        x[:, -1, : phi.shape[1]] = kernel.shock_forcing(kappa)
+    zi = None
+    if s:
+        zi = np.array([[lfiltic([1.0], a, v[i, :s][::-1]) for v in signals]
+                       for i, a in enumerate(a_cl)])
+    out = kernel.responses(a_cl, x, zi)
+    for j, v in enumerate(signals):
+        v[:, s:] = out[:, j, : stop - s]
+    if phi is not None:
+        phi[:] = out[:, -1, : phi.shape[1]]
+    kept = np.abs(amplitude - e[:, s:]) <= limit
+    if cascade:
+        # the inner output may run 100x further before the loop counts as lost
+        kept &= np.abs(y2[:, s:]) <= 100.0 * limit
     return s + np.where(kept.all(axis=1), stop - s, np.argmin(kept, axis=1))
 
 
@@ -227,22 +247,25 @@ def simulate_step(problem: TuningProblem, params) -> StepResponseRecord:
 def tuning_objective(problem: TuningProblem):
     """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters.
     ``fn.batch`` maps an (n, 3) gain matrix to its n values through one
-    ``_stage`` call, the step record's body; ``fn(k)`` is a batch of one row."""
+    ``_stage`` call, the step record's body, which also filters each row's
+    shock response where rho > 0; ``fn(k)`` is a batch of one row."""
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
     kernel = _LoopKernel(problem.loop)
+    p = problem.loop.truncation
 
     def batch(ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=float)
         e, y2 = np.zeros((2, len(ks), n))
+        phi = np.empty((len(ks), p)) if rho != 0.0 else None
         # non-finite gains and diverging loops are penalized, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            t = _stage(kernel, *kernel.closed_loop_batch(ks), sp, e, y2)
+            t = _stage(kernel, *kernel.closed_loop_batch(ks), sp, e, y2, phi=phi)
             # _finish_record's sum over _step_response's y, so J == record.iae
             out = np.where(t < n, divergence_penalty(t, n), np.abs(sp - (sp - e)).sum(axis=1))
-            bounded = out < DIVERGENCE_SENTINEL
-            if rho != 0.0:
-                var = kernel.variance_batch(ks[bounded])
+            if phi is not None:
+                bounded = out < DIVERGENCE_SENTINEL
+                var = kernel.sum_of_squares(phi[bounded])
                 out[bounded] = np.where(var < DIVERGENCE_SENTINEL,
                                         out[bounded] + rho * var, var)
         return out

@@ -2,7 +2,10 @@
 without ``lfilter``'s Python wrapper. It must give the bits of the public
 ``lfilter([1.0], a_cl, x)``, and of ``lfilter([1.0], a_cl, x, zi=zi)`` from a
 filter state, for every A_cl the kernel can build: two or more coefficients,
-stable or not, and inputs that already hold inf or NaN."""
+stable or not, and inputs that already hold inf or NaN. The kernel filters
+all the signals of a candidate in one call, so each row of a 2-D input must
+keep the bits of its own 1-D call, from its own state, and zero-padded to a
+longer width."""
 
 import numpy as np
 import pytest
@@ -60,7 +63,7 @@ def test_filter_equals_lfilter_bit_for_bit(order, stable):
 @pytest.mark.parametrize("order", range(2, 31))
 def test_filter_from_a_state_equals_lfilter_bit_for_bit(order, stable):
     # a gain switch resumes the step loop from the outputs before it: the
-    # filter state that lfiltic builds from them, as tuning._resume does
+    # filter state that lfiltic builds from them, as tuning._stage does
     rng = np.random.default_rng(2000 * order + stable)
     for _ in range(5):
         a_cl = _polynomial(rng, order, stable)
@@ -73,3 +76,39 @@ def test_filter_from_a_state_equals_lfilter_bit_for_bit(order, stable):
             got = _filter(a_cl, x, zi)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("order", range(2, 31))
+def test_rows_from_their_own_states_equal_lfilter_per_row(order, stable):
+    # a resumed cascade stage filters the tracking error and the inner
+    # output in one call, each row from the state lfiltic builds from its past
+    rng = np.random.default_rng(3000 * order + stable)
+    for _ in range(5):
+        a_cl = _polynomial(rng, order, stable)
+        for x in _inputs(rng, int(rng.integers(1, 400))):
+            x = np.atleast_2d(x)
+            pasts = [rng.normal(size=int(rng.integers(1, 2 * order))) for _ in x]
+            zi = np.array([lfiltic([1.0], a_cl, past[::-1]) for past in pasts])
+            got = _filter(a_cl, x, zi)
+            assert got.shape == x.shape and got.dtype == x.dtype
+            for row, xr, z in zip(got, x, zi):
+                assert row.tobytes() == lfilter([1.0], a_cl, xr, zi=z)[0].tobytes()
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("order", range(2, 31))
+def test_zero_padding_keeps_the_prefix(order, stable):
+    # signals of different lengths share one call zero-padded to the longest:
+    # the filter is causal, so each keeps the bits of its own shorter call
+    rng = np.random.default_rng(4000 * order + stable)
+    for _ in range(5):
+        a_cl = _polynomial(rng, order, stable)
+        for x in _inputs(rng, int(rng.integers(1, 400))):
+            x = np.atleast_2d(x)
+            padded = np.pad(x, ((0, 0), (0, int(rng.integers(1, 400)))))
+            n = x.shape[1]
+            assert _filter(a_cl, padded)[:, :n].tobytes() == _filter(a_cl, x).tobytes()
+            zi = np.array([lfiltic([1.0], a_cl, rng.normal(size=order)) for _ in x])
+            assert (_filter(a_cl, padded, zi)[:, :n].tobytes()
+                    == _filter(a_cl, x, zi).tobytes())

@@ -222,6 +222,14 @@ def test_variance_batch_equals_scalar_bit_for_bit(loop):
 
 
 @KERNEL_LOOPS
+def test_variance_batch_of_no_rows(loop):
+    kernel = _LoopKernel(loop)
+    got = kernel.variance_batch(np.empty((0, 3)))
+    assert got.shape == (0,) and got.dtype == float
+    assert kernel.sum_of_squares(np.empty((0, loop.truncation))).shape == (0,)
+
+
+@KERNEL_LOOPS
 @pytest.mark.parametrize("noise", [None, 1e300], ids=["", "sum_overflows"])
 def test_stacked_sum_of_squares_equals_guarded_variance_per_row(loop, noise):
     # variance_batch takes every row's sum of squares in one stacked matmul;
@@ -252,4 +260,3 @@ def test_stacked_sum_of_squares_equals_guarded_variance_per_row(loop, noise):
     assert DIVERGENCE_SENTINEL < bad[0] < bad[1] <= bad[2]
     if noise is not None:
         assert (got[:-len(diverging)] == DIVERGENCE_SENTINEL).any()
-    assert kernel.variance_batch(np.empty((0, 3))).shape == (0,)

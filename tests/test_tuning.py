@@ -24,6 +24,7 @@ from pidmov import (
     tune,
     tuning_objective,
 )
+from pidmov import singleloop
 from pidmov.singleloop import _LoopKernel
 from pidmov.tlbo import DIVERGENCE_SENTINEL, divergence_penalty
 
@@ -107,6 +108,74 @@ def test_batch_objective_equals_scalar_and_step_record(case, rho):
             var = kernel.variance(k) if rho else 0.0
             assert j == (var if var >= DIVERGENCE_SENTINEL else rec.iae + rho * var)
     assert 45 <= bounded < len(ks)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e5])
+@pytest.mark.parametrize("case", ["air_single", "immersion_cascade"])
+def test_batch_with_no_bounded_row_is_its_divergence_penalties(case, rho):
+    # with no bounded candidate the variance term sums the squares of no rows
+    problem = replace(load_case_study(case), weight=rho)
+    ks = [k for k in EXTREME_ROWS if k != [0.0, 0.0, 0.0]]      # the open loop stays bounded
+    fn = tuning_objective(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = [simulate_step(problem, k) for k in ks]
+        got = fn.batch(ks)
+        empty = fn.batch(np.empty((0, 3)))
+    assert not any(rec.stable for rec in records)
+    assert got.tolist() == [divergence_penalty(rec.diverged_at, problem.horizon)
+                            for rec in records]
+    assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("case, truncation", [("air_single", 400), ("immersion_cascade", 450)])
+def test_objective_when_the_truncation_outruns_the_horizon(case, truncation):
+    # the shock response is filtered with the step signals, all zero-padded
+    # to the longer of the horizon and the truncation
+    problem = load_case_study(case)
+    problem = replace(problem, loop=replace(problem.loop, truncation=truncation), weight=2.5e5)
+    assert problem.loop.truncation > problem.horizon
+    kernel = _LoopKernel(problem.loop)
+    published = np.asarray(CASE_STUDY_REFERENCE[case][1][1])
+    ks = published * (1.0 + np.random.default_rng(19).normal(0.0, 0.05, (30, 3)))
+    got = tuning_objective(problem).batch(ks)
+    bounded = 0
+    for k, j in zip(ks, got):
+        rec = simulate_step(problem, k)
+        if rec.stable:
+            bounded += 1
+            assert j == rec.iae + problem.weight * kernel.variance(k)
+    assert bounded >= 20
+
+
+@pytest.mark.parametrize("case", ["air_single", "immersion_cascade"])
+def test_one_filter_call_per_candidate(case, monkeypatch):
+    shapes = []
+
+    def counted(a_cl, x, zi=None):
+        shapes.append(x.shape)
+        return real(a_cl, x, zi)
+
+    real = singleloop._filter
+    monkeypatch.setattr(singleloop, "_filter", counted)
+    problem = load_case_study(case)
+    n, p, cascade = problem.horizon, problem.loop.truncation, case == "immersion_cascade"
+    published = CASE_STUDY_REFERENCE[case][1][1]
+    ks = np.vstack([np.asarray(published) * (1.0 + np.random.default_rng(7).normal(0.0, 0.3, (30, 3))),
+                    EXTREME_ROWS])
+    with np.errstate(invalid="ignore", over="ignore"):      # the non-finite rows
+        _LoopKernel(problem.loop).variance_batch(ks)
+    assert shapes == [(1, p)] * len(ks)
+    for rho in (0.0, 1e5):
+        shapes.clear()
+        tuning_objective(replace(problem, weight=rho)).batch(ks)
+        # the step error, the cascade's inner output, the shock response
+        assert shapes == [(1 + cascade + (rho > 0), max(n, p) if rho else n)] * len(ks)
+    # the record: one call per stage, each resumed one after the first
+    shapes.clear()
+    k1, k2 = (k for _, k, _ in CASE_STUDY_REFERENCE[case][:2])
+    assert simulate_multistage(problem, [(k1, 0), (k2, 37), (k1, 150)]).stable
+    assert shapes == [(1 + cascade, w) for w in (37, 150 - 37, n - 150)]
 
 
 @pytest.mark.parametrize("case, gains, names", [
