@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from scipy.signal import _sigtools
@@ -178,7 +177,10 @@ class _LoopKernel:
         if ks.ndim != 2 or ks.shape[1] != 3:
             names = "k1, k2, k3" if self.single else "k4, k5, k6"
             raise ValueError(f"expected rows of the three gains {names}, got shape {ks.shape}")
-        kappa, p = (np.ones(len(ks)), ks) if self.single else (ks[:, 2], ks[:, :2])
+        if self.single:
+            # kappa is 1, and 1.0 * v is v, so the single loop skips that product
+            return np.ones(len(ks)), ks, self._a0 + (self._a1 + ks @ self._fb.T)
+        kappa, p = ks[:, 2], ks[:, :2]
         return kappa, p, self._a0 + kappa[:, None] * (self._a1 + p @ self._fb.T)
 
     def forcing(self, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -215,11 +217,10 @@ class _LoopKernel:
         forcing of each, and zi, if given, the (m, signals, n - 1) states the
         signals resume from. Causal, so a signal zero-padded to the width
         keeps the bits of its own shorter call."""
-        out = np.empty((len(a_cl), *x.shape[1:]))
-        rows = x if len(x) == len(a_cl) else repeat(x[0])
-        for i, (a, xi, z) in enumerate(zip(a_cl, rows, repeat(None) if zi is None else zi)):
-            out[i] = _filter(a, xi, z)
-        return out
+        m = len(a_cl)
+        xs = x if len(x) == m else [x[0]] * m
+        rows = [_filter(a, xi, z) for a, xi, z in zip(a_cl, xs, [None] * m if zi is None else zi)]
+        return np.array(rows) if m else np.empty((0, *x.shape[1:]))
 
     @cached_property
     def _unit(self):
@@ -239,23 +240,28 @@ class _LoopKernel:
     def sum_of_squares(self, phi) -> np.ndarray:
         """Truncated output variance of each (m, p) row of shock responses,
         penalized where it diverges: every row's sum of squares in one
-        stacked product."""
+        stacked product. Call it inside ``np.errstate`` that ignores
+        overflow and invalid operations."""
         scale = self._unit[2]
         # the (1, p) @ (p, 1) product of each row is the ddot np.vdot makes,
         # so a finite sum is guarded_variance's bit for bit; only the rows
         # whose sum is not finite pay for its ordered penalty
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = np.matmul(phi[:, None, :], phi[:, :, None])[:, 0, 0] * scale
+        v = np.matmul(phi[:, None, :], phi[:, :, None])[:, 0, 0] * scale
         bad = ~np.isfinite(v)
-        v[bad] = [guarded_variance(row, scale) for row in phi[bad]]
+        if bad.any():
+            v[bad] = [guarded_variance(row, scale) for row in phi[bad]]
         return v
 
     def variance_batch(self, ks) -> np.ndarray:
         """Truncated output variance of every row of an (n, 3) gain matrix,
         penalized where it diverges: each row's shock response through its
         1/A_cl, then ``sum_of_squares``."""
-        kappa, _, a_cl = self.closed_loop_batch(ks)
-        return self.sum_of_squares(self.responses(a_cl, self.shock_forcing(kappa)[:, None])[:, 0])
+        # non-finite and huge gains give non-finite A_cl and forcings, and
+        # diverging responses, all penalized rather than warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa, _, a_cl = self.closed_loop_batch(ks)
+            phi = self.responses(a_cl, self.shock_forcing(kappa)[:, None])[:, 0]
+            return self.sum_of_squares(phi)
 
     def variance(self, ks) -> float:
         """Truncated output variance of one gain set: a batch of one row."""

@@ -7,6 +7,11 @@ evaluate-and-accept step: the moved learners are clipped to the box,
 evaluated (in one call where the objective has a ``batch``), and each move
 is kept where it improves its learner. Independent seeded runs step in
 lockstep, so one phase evaluates the candidates of every running run at once.
+Apart from that evaluation, a phase is each run's draws from its own
+generator, in a lone run's order, and a fixed set of array operations over
+all running runs, written into buffers the lockstep allocates once; the
+forms used (``np.add.reduce`` for the mean, ``maximum``/``minimum`` for the
+clip, ``copyto`` for the acceptance) give the bits of the plain ones.
 """
 
 from __future__ import annotations
@@ -103,13 +108,17 @@ def minimize(objective, cfg: TlboConfig) -> OptResult:
     return lockstep(objective, cfg, [cfg.seed])[0]
 
 
-def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
-    """A random partner per learner, other than the learner itself."""
+def _partners(rng: np.random.Generator, learners: np.ndarray) -> np.ndarray:
+    """A random partner per learner, other than the learner itself;
+    ``learners`` is ``np.arange(population)``. Only the clashing learners
+    are redrawn, in index order, so the draws are those of redrawing every
+    clash."""
+    npop = learners.size
     partners = rng.integers(0, npop, size=npop)
-    clash = partners == np.arange(npop)
-    while clash.any():
-        partners[clash] = rng.integers(0, npop, size=int(clash.sum()))
-        clash = partners == np.arange(npop)
+    clash = np.flatnonzero(partners == learners)
+    while clash.size:
+        partners[clash] = rng.integers(0, npop, size=clash.size)
+        clash = clash[partners[clash] == clash]
     return partners
 
 
@@ -125,7 +134,8 @@ def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
     the update laws are written. Each phase evaluates the candidates of
     every running run at once: one ``objective.batch`` call on their
     (runs * population, dimensions) array where the objective has a
-    ``batch``, otherwise one call per candidate.
+    ``batch``, otherwise one call per candidate. That array is a buffer the
+    next phase overwrites.
     """
     t0 = time.perf_counter()
     npop, dim = cfg.population, cfg.dimensions
@@ -135,6 +145,11 @@ def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
     ids = np.arange(len(rngs))             # the running runs
     nan_count = np.zeros(len(rngs), dtype=int)
     results: list[OptResult | None] = [None] * len(rngs)
+    learners = np.arange(npop)
+    # per-phase buffers, of which the running runs use the leading rows: each
+    # run's uniforms, and its moves, then candidates
+    draws = np.empty((len(rngs), 2 * npop))
+    moves = np.empty((len(rngs), npop, dim))
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         flat = points.reshape(-1, dim)
@@ -144,8 +159,9 @@ def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
             f = np.array(batch(flat), dtype=float)
         f = f.reshape(len(points), npop)
         nan = np.isnan(f)
-        nan_count[ids] += np.count_nonzero(nan, axis=1)
-        f[nan] = math.inf
+        if nan.any():
+            nan_count[ids] += np.count_nonzero(nan, axis=1)
+            f[nan] = math.inf
         return f
 
     pop = np.stack([rng.uniform(lo, hi, size=(npop, dim)) for rng in rngs])
@@ -153,12 +169,16 @@ def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
     # one list per running run: its best after init and after each phase
     history = [[v] for v in fit.min(axis=1).tolist()]
 
-    def phase(moves: np.ndarray) -> None:
-        cand = np.clip(pop + moves, lo, hi)
+    def phase(cand: np.ndarray) -> None:
+        """Evaluate the learners moved by ``cand`` (overwritten with the
+        candidates, clipped to the box) and keep each improvement."""
+        np.add(pop, cand, out=cand)
+        np.maximum(cand, lo, out=cand)
+        np.minimum(cand, hi, out=cand)
         cf = evaluate(cand)
         accept = cf < fit
-        pop[accept] = cand[accept]
-        fit[accept] = cf[accept]
+        np.copyto(pop, cand, where=accept[..., None])
+        np.copyto(fit, cf, where=accept)
         for h, v in zip(history, fit.min(axis=1).tolist()):
             h.append(v)
 
@@ -194,21 +214,30 @@ def lockstep(objective, cfg: TlboConfig, seeds) -> list[OptResult]:
                 if not ids.size:
                     break
             # Teacher phase: all moves computed from the phase-start snapshot.
+            cand = moves[: ids.size]
             teacher = pop[np.arange(ids.size), np.argmin(fit, axis=1)]
-            mean = pop.mean(axis=1)
+            mean = np.add.reduce(pop, axis=1) / npop     # pop.mean(axis=1), bit for bit
             # one draw per run: tf's npop uniforms, then r's, as two draws make them
-            u = np.array([rng.random(2 * npop) for rng in rngs])
+            u = draws[: ids.size]
+            for rng, row in zip(rngs, u):
+                rng.random(out=row)
             tf, r = np.round(1.0 + u[:, :npop]), u[:, npop:]
-            phase(r[..., None] * (teacher[:, None] - tf[..., None] * mean[:, None]))
+            np.multiply(tf[..., None], mean[:, None], out=cand)
+            np.subtract(teacher[:, None], cand, out=cand)
         else:
             # Learner phase: random distinct partner per learner; move toward
             # the partner when it is better, away otherwise.
-            partners = np.array([_partners(rng, npop) for rng in rngs])
+            cand = moves[: ids.size]
+            partners = np.array([_partners(rng, learners) for rng in rngs])
             rows = np.arange(ids.size)[:, None]
             other = pop[rows, partners]
-            better = fit < fit[rows, partners]
-            step = np.where(better[..., None], pop - other, other - pop)
-            r = np.array([rng.random(npop) for rng in rngs])
-            phase(r[..., None] * step)
+            better = (fit < fit[rows, partners])[..., None]
+            np.subtract(pop, other, out=cand, where=better)
+            np.subtract(other, pop, out=cand, where=~better)
+            r = draws[: ids.size, :npop]
+            for rng, row in zip(rngs, r):
+                rng.random(out=row)
+        np.multiply(r[..., None], cand, out=cand)
+        phase(cand)
         teaching = not teaching
     return results

@@ -9,7 +9,10 @@ truncated variance. Both enter the scalarized objective
 where IAE is accumulated per sample of the step response (the tracking term
 is excited by the setpoint alone, the variance term by the disturbances
 alone). Both responses run through the same 1/A_cl, so each candidate's
-step and shock response are one filter call.
+step and shock response are one filter call. The tuning objective builds
+what its gains do not change once: in the single loop, where kappa is 1,
+that is the whole forcing of the step error and the shock response, which
+every row of every batch shares.
 """
 
 from __future__ import annotations
@@ -119,33 +122,23 @@ def _stage_bounds(stage_params, horizon) -> list[tuple[int, int]]:
     return list(zip(switches, switches[1:] + [horizon]))
 
 
-def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
-           e: np.ndarray, y2: np.ndarray, s: int = 0, corr=None,
-           phi: np.ndarray | None = None) -> np.ndarray:
-    """Run the step loop under the gain sets in the rows of kappa (m,),
-    p (m, k) and a_cl (m, n) from sample s to the end of the (m, stop) rows
-    e and y2: fill e[:, s:] with the tracking errors r - y and y2[:, s:] with
-    the cascade's inner outputs (zeros in the single loop), continuing from
-    the samples before s; with an (m, p) ``phi``, fill it with each row's
-    shock response of the variance objective too. Every signal of a row goes
-    through its 1/A_cl in one ``kernel.responses`` call. Return each row's
-    first sample where an output left its divergence limit or was not
-    finite, or stop if none did. Call it inside ``np.errstate`` that ignores
-    overflow and invalid operations.
+def _forcing(kernel: _LoopKernel, kappa, p, amplitude: float, stop: int, s: int = 0,
+             corr=None, shock: int = 0) -> np.ndarray:
+    """The forcing of every signal the step loop filters from sample s to
+    stop under the gain sets in the rows of kappa (m,) and p (m, k): the
+    tracking error r - y, the cascade's inner output and, with ``shock``
+    > 0, the variance objective's shock response over that many samples,
+    each zero-padded to one width. One (1, signals, width) forcing all rows
+    share in the single loop, where kappa is 1 and the forcing is gain-free,
+    and an (m, signals, width) one in the cascade.
 
     The forcing of e is amplitude (base + kappa inner), a finite pulse; at a
     switch s > 0 (the record runs a batch of one row), ``corr`` carries the
     (1 - q^-1) c_u correction of the control (see ``_step_response``).
     """
-    limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
-    stop = e.shape[1]
     cascade = not kernel.single
-    # one row of forcings all candidates share in the single loop, where
-    # kappa is 1, and one per candidate in the cascade: e's, y2's, phi's
     rows = len(kappa) if cascade else 1
-    signals = [e, y2] if cascade else [e]
-    width = stop - s if phi is None else max(stop - s, phi.shape[1])
-    x = np.zeros((rows, len(signals) + (phi is not None), width))
+    x = np.zeros((rows, 1 + cascade + (shock > 0), max(stop - s, shock)))
     lead = amplitude * (kernel.base + (kappa if cascade else np.ones(1))[:, None] * kernel.inner)
     xe = np.zeros((rows, stop))
     xe[:, : lead.shape[1]] = lead[:, :stop]
@@ -158,8 +151,29 @@ def _stage(kernel: _LoopKernel, kappa, p, a_cl, amplitude: float,
             if s:
                 f += corr
             x[i, 1, : stop - s] = np.convolve(kernel.inner, f)[s:stop]
-    if phi is not None:
-        x[:, -1, : phi.shape[1]] = kernel.shock_forcing(kappa)
+    if shock:
+        x[:, -1, :shock] = kernel.shock_forcing(kappa)
+    return x
+
+
+def _stage(kernel: _LoopKernel, a_cl, x, amplitude: float, e: np.ndarray,
+           y2: np.ndarray | None, s: int = 0, phi: np.ndarray | None = None) -> np.ndarray:
+    """Run the step loop under the closed loops in the rows of a_cl (m, n),
+    with the forcing x that ``_forcing`` builds, from sample s to the end of
+    the (m, stop) rows e and, in the cascade, y2: fill e[:, s:] with the
+    tracking errors r - y and y2[:, s:] with the inner outputs, continuing
+    from the samples before s (the single loop has no y2); with an (m, p)
+    ``phi``, fill it with each row's shock response of the variance
+    objective too. Every signal of a row goes through its 1/A_cl in one
+    ``kernel.responses`` call. Return each row's first sample where an
+    output left its divergence limit or was not finite, or stop if none
+    did. Call it inside ``np.errstate`` that ignores overflow and invalid
+    operations.
+    """
+    limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
+    stop = e.shape[1]
+    cascade = not kernel.single
+    signals = [e, y2] if cascade else [e]
     zi = None
     if s:
         zi = np.array([[lfiltic([1.0], a, v[i, :s][::-1]) for v in signals]
@@ -198,28 +212,28 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
     # tracking error r - y, inner output (zero in the single loop), and the integrator
     # increments and kappa actually applied
     e, y2, d_integ, kappas = np.zeros((4, horizon))
-    for i, (ks, s) in enumerate(stages):
-        stop = stages[i + 1][1] if i + 1 < len(stages) else horizon
-        with np.errstate(invalid="ignore"):      # non-finite gains diverge in _stage
+    # non-finite gains and diverging loops end the response, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (ks, s) in enumerate(stages):
+            stop = stages[i + 1][1] if i + 1 < len(stages) else horizon
             kappa, p, a_cl = kernel.closed_loop_batch([ks])
-        corr = None
-        if s:
-            corr = np.zeros(stop)      # (1 - q^-1) c_u
-            integ = np.cumsum(d_integ[:s])
-            integ_new = np.cumsum(np.convolve(p[0], e[:s])[:s])
-            # u(t >= s) - u_new(t) stays at kappa (I - I_new)(s - 1)
-            c_u = np.append(kappas[:s] * (integ - y2[:s]) - kappa[0] * (integ_new - y2[:s]),
-                            kappa[0] * (integ[-1] - integ_new[-1]))
-            corr[: s + 1] = np.diff(c_u, prepend=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = int(_stage(kernel, kappa, p, a_cl, amplitude,
-                           e[None, :stop], y2[None, :stop], s, corr)[0])
-        if t < stop:
-            e[t + 1:] = amplitude
-            return amplitude - e, t
-        if stop < horizon:
-            d_integ[s:stop] = np.convolve(p[0], e[:stop])[s:stop]
-            kappas[s:stop] = kappa[0]
+            corr = None
+            if s:
+                corr = np.zeros(stop)      # (1 - q^-1) c_u
+                integ = np.cumsum(d_integ[:s])
+                integ_new = np.cumsum(np.convolve(p[0], e[:s])[:s])
+                # u(t >= s) - u_new(t) stays at kappa (I - I_new)(s - 1)
+                c_u = np.append(kappas[:s] * (integ - y2[:s]) - kappa[0] * (integ_new - y2[:s]),
+                                kappa[0] * (integ[-1] - integ_new[-1]))
+                corr[: s + 1] = np.diff(c_u, prepend=0.0)
+            x = _forcing(kernel, kappa, p, amplitude, stop, s, corr)
+            t = int(_stage(kernel, a_cl, x, amplitude, e[None, :stop], y2[None, :stop], s)[0])
+            if t < stop:
+                e[t + 1:] = amplitude
+                return amplitude - e, t
+            if stop < horizon:
+                d_integ[s:stop] = np.convolve(p[0], e[:stop])[s:stop]
+                kappas[s:stop] = kappa[0]
     return amplitude - e, None
 
 
@@ -248,19 +262,29 @@ def tuning_objective(problem: TuningProblem):
     """J(k) = IAE(k) + rho * sigma_y^2(k) over the controller parameters.
     ``fn.batch`` maps an (n, 3) gain matrix to its n values through one
     ``_stage`` call, the step record's body, which also filters each row's
-    shock response where rho > 0; ``fn(k)`` is a batch of one row."""
+    shock response where rho > 0; ``fn(k)`` is a batch of one row. The
+    single loop's forcing is gain-free, so it is built once, with the
+    objective, and every batch shares it."""
     rho = problem.weight
     n, sp = problem.horizon, problem.setpoint
     kernel = _LoopKernel(problem.loop)
-    p = problem.loop.truncation
+    cascade = not kernel.single
+    width = problem.loop.truncation if rho != 0.0 else 0      # of the shock responses
+    # nothing writes to it; it stays writeable, since _linear_filter copies a
+    # read-only input on every call
+    shared = None if cascade else _forcing(kernel, np.ones(1), None, sp, n, shock=width)
 
     def batch(ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=float)
-        e, y2 = np.zeros((2, len(ks), n))
-        phi = np.empty((len(ks), p)) if rho != 0.0 else None
+        # the filter writes every sample of e, y2 and phi
+        e = np.empty((len(ks), n))
+        y2 = np.empty((len(ks), n)) if cascade else None
+        phi = np.empty((len(ks), width)) if width else None
         # non-finite gains and diverging loops are penalized, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            t = _stage(kernel, *kernel.closed_loop_batch(ks), sp, e, y2, phi=phi)
+            kappa, p, a_cl = kernel.closed_loop_batch(ks)
+            x = shared if shared is not None else _forcing(kernel, kappa, p, sp, n, shock=width)
+            t = _stage(kernel, a_cl, x, sp, e, y2, phi=phi)
             # _finish_record's sum over _step_response's y, so J == record.iae
             out = np.where(t < n, divergence_penalty(t, n), np.abs(sp - (sp - e)).sum(axis=1))
             if phi is not None:

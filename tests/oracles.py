@@ -7,6 +7,8 @@ assembled here, and the step-response loops are re-derived sample by
 sample with their own state bookkeeping. The one-chain Monte-Carlo
 references step the stochastic loops one scalar sample at a time over
 Python lists, the form the package's oracle vectorizes across chains.
+The reference TLBO runs one seeded run one learner at a time, with the
+update laws as written.
 Agreement between these oracles
 and the package is the evidence the tests assert.
 """
@@ -293,3 +295,88 @@ def mc_chain_cascade(problem, k, w1, w2, limit):
         e1p = e1
         u[t] = k6 * (v - y2t)
     return np.asarray(y1), None
+
+
+def _tlbo_partners(rng, npop):
+    """A random partner per learner other than itself: draw all, then redraw
+    every clashing learner until none clashes."""
+    partners = rng.integers(0, npop, size=npop)
+    clash = partners == np.arange(npop)
+    while clash.any():
+        partners[clash] = rng.integers(0, npop, size=int(clash.sum()))
+        clash = partners == np.arange(npop)
+    return partners
+
+
+def tlbo_run(objective, cfg, seed) -> dict:
+    """One seeded TLBO run, one learner at a time, as the update laws are
+    written, with its own ``default_rng(seed)``; every ``OptResult`` field but
+    ``elapsed``, as a dict.
+
+    Teacher phase, from the phase-start population: learner i moves by
+    r_i (teacher - tf_i mean), tf_i = round(1 + u_i), with npop draws for the
+    u_i and then npop for the r_i. Learner phase: each learner draws a
+    partner other than itself, then npop draws r_i; it moves by
+    r_i (x_i - x_p) if its fitness is below its partner's, by r_i (x_p - x_i)
+    otherwise. Each move is clipped to the box and evaluated once (one row
+    of ``objective.batch`` where the objective has one), and kept where it
+    improves its learner; a NaN value is counted and never kept. Before every
+    teacher phase the run stops after ``max_iterations`` phases, or when its
+    best has improved by less than the tolerance over the window.
+    """
+    npop, dim = cfg.population, cfg.dimensions
+    lo, hi = np.asarray(cfg.lower, dtype=float), np.asarray(cfg.upper, dtype=float)
+    rng = np.random.default_rng(seed)
+    batch = getattr(objective, "batch", None)
+    nan_evaluations = 0
+
+    def value(x):
+        nonlocal nan_evaluations
+        f = float(batch(x[None])[0]) if batch is not None else float(objective(x))
+        if f != f:
+            nan_evaluations += 1
+            return float("inf")
+        return f
+
+    pop = rng.uniform(lo, hi, size=(npop, dim))
+    fit = np.array([value(x) for x in pop])
+    history = [float(fit.min())]
+    teaching, by_window = True, False
+    while True:
+        if len(history) > cfg.max_iterations:
+            break
+        if teaching:
+            w = cfg.termination_window
+            if len(history) > w and history[-1 - w] - history[-1] < cfg.termination_tol:
+                by_window = True
+                break
+            teacher = pop[int(np.argmin(fit))].copy()
+            mean = pop.mean(axis=0)
+            tf = np.round(1.0 + rng.random(npop))
+            r = rng.random(npop)
+            cand = np.array([np.clip(pop[i] + r[i] * (teacher - tf[i] * mean), lo, hi)
+                             for i in range(npop)])
+        else:
+            partners = _tlbo_partners(rng, npop)
+            r = rng.random(npop)
+            moves = []
+            for i, j in enumerate(partners):
+                step = pop[i] - pop[j] if fit[i] < fit[j] else pop[j] - pop[i]
+                moves.append(np.clip(pop[i] + r[i] * step, lo, hi))
+            cand = np.array(moves)
+        cf = np.array([value(x) for x in cand])
+        accept = cf < fit
+        pop[accept] = cand[accept]
+        fit[accept] = cf[accept]
+        history.append(float(fit.min()))
+        teaching = not teaching
+    best = int(np.argmin(fit))
+    return {
+        "best_point": pop[best].copy(),
+        "best_fitness": float(fit[best]),
+        "iterations": len(history) - 1,
+        "evaluations": npop * len(history),
+        "fitness_history": np.array(history),
+        "nan_evaluations": nan_evaluations,
+        "terminated_by_window": by_window,
+    }

@@ -229,6 +229,27 @@ def test_variance_batch_of_no_rows(loop):
     assert kernel.sum_of_squares(np.empty((0, loop.truncation))).shape == (0,)
 
 
+# Gain rows the optimizer never proposes but a caller may: inf times a zero
+# coefficient of A_cl or of the forcing is NaN, an invalid operation
+NON_FINITE_ROWS = [[1.0, np.inf, 1.0], [np.inf, 1.0, 1.0], [1.0, -1.0, np.inf],
+                   [-np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.0, 1.0, np.nan],
+                   [np.inf, np.nan, -np.inf]]
+
+
+@KERNEL_LOOPS
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_gain_rows_are_penalized_without_a_warning(loop):
+    objective = (cpa_objective if isinstance(loop, SingleLoopProblem) else cascade_objective)(loop)
+    rows = np.array(NON_FINITE_ROWS)
+    scalar = [objective(k) for k in rows]
+    batch = objective.batch(rows)
+    assert batch.tolist() == scalar
+    assert all(v >= DIVERGENCE_SENTINEL for v in scalar)
+    # in a batch with finite rows, which keep their own values
+    mixed = np.vstack([rows, np.ones(3), rows[::-1]])
+    assert objective.batch(mixed).tolist() == [*scalar, objective(np.ones(3)), *scalar[::-1]]
+
+
 @KERNEL_LOOPS
 @pytest.mark.parametrize("noise", [None, 1e300], ids=["", "sum_overflows"])
 def test_stacked_sum_of_squares_equals_guarded_variance_per_row(loop, noise):

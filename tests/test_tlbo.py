@@ -7,7 +7,9 @@ import pytest
 from pidmov import (TlboConfig, assess_cascade, assess_single, cascade_objective,
                     load_benchmark, load_case_study, minimize, tuning_objective)
 from pidmov.singleloop import seeded_runs
-from pidmov.tlbo import OptResult
+from pidmov.tlbo import OptResult, lockstep
+
+from oracles import tlbo_run
 
 
 def sphere(x):
@@ -243,6 +245,42 @@ def test_each_phase_is_one_batch_over_the_running_runs():
     running = [sum(r.iterations >= k for r in runs) for k in range(1, phases + 1)]
     assert len(set(running)) > 2       # runs leave the lockstep at different phases
     assert sizes == [(12 * n, 3) for n in [5, *running]]
+
+
+# the cascade kernel is evaluated through its batch, by both
+ORACLE_OBJECTIVES = {
+    "sphere": lambda: sphere,
+    "nan_region": lambda: nan_right_of_zero,
+    "cascade": _cascade_variance,
+}
+
+
+# population 2 leaves each learner one partner, so clashes are redrawn often;
+# caps of 7 and 40 phases end runs after a teacher and a learner phase, and
+# the default cap leaves the window rule to stop them
+@pytest.mark.parametrize("cap", [7, 40, 2000])
+@pytest.mark.parametrize("population", [2, 3, 20])
+@pytest.mark.parametrize("name", sorted(ORACLE_OBJECTIVES))
+def test_lockstep_equals_the_reference_tlbo(name, population, cap):
+    objective = ORACLE_OBJECTIVES[name]()
+    cfg = TlboConfig(dimensions=3, population=population, max_iterations=cap, seed=11)
+    seeds = [int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(5)]
+    got = {"minimize": [minimize(objective, cfg)], "lockstep": lockstep(objective, cfg, seeds)}
+    want = {"minimize": [tlbo_run(objective, cfg, cfg.seed)],
+            "lockstep": [tlbo_run(objective, cfg, s) for s in seeds]}
+    names = {f.name for f in fields(OptResult)} - {"elapsed"}
+    for how in got:
+        for a, b in zip(got[how], want[how], strict=True):
+            assert set(b) == names
+            for field in names:
+                x, y = getattr(a, field), b[field]
+                assert type(x) is type(y), (how, field)
+                assert np.array_equal(x, y), (how, field)
+    runs = got["lockstep"]
+    if cap == 7:
+        assert all(r.iterations == 7 and not r.terminated_by_window for r in runs)
+    if name == "nan_region":
+        assert all(r.nan_evaluations > 0 for r in runs)
 
 
 def test_config_validation():

@@ -163,8 +163,7 @@ def test_one_filter_call_per_candidate(case, monkeypatch):
     published = CASE_STUDY_REFERENCE[case][1][1]
     ks = np.vstack([np.asarray(published) * (1.0 + np.random.default_rng(7).normal(0.0, 0.3, (30, 3))),
                     EXTREME_ROWS])
-    with np.errstate(invalid="ignore", over="ignore"):      # the non-finite rows
-        _LoopKernel(problem.loop).variance_batch(ks)
+    _LoopKernel(problem.loop).variance_batch(ks)
     assert shapes == [(1, p)] * len(ks)
     for rho in (0.0, 1e5):
         shapes.clear()
@@ -176,6 +175,27 @@ def test_one_filter_call_per_candidate(case, monkeypatch):
     k1, k2 = (k for _, k, _ in CASE_STUDY_REFERENCE[case][:2])
     assert simulate_multistage(problem, [(k1, 0), (k2, 37), (k1, 150)]).stable
     assert shapes == [(1 + cascade, w) for w in (37, 150 - 37, n - 150)]
+
+
+@pytest.mark.parametrize("case", ["air_single", "immersion_cascade"])
+def test_reused_objective_keeps_its_forcing(case):
+    # the single loop's forcing is built once per objective and shared by
+    # every batch; no batch of another size, no non-finite row and no step
+    # record may change what a later batch sees
+    problem = replace(load_case_study(case), weight=1e5)
+    fn = tuning_objective(problem)
+    published = np.asarray(CASE_STUDY_REFERENCE[case][1][1])
+    rng = np.random.default_rng(23)
+    rows_a = published * (1.0 + rng.normal(0.0, 0.1, (30, 3)))
+    rows_b = np.vstack([published * (1.0 + rng.normal(0.0, 0.3, (7, 3))), EXTREME_ROWS])
+    first = fn.batch(rows_a)
+    fn.batch(rows_b)
+    k1, k2 = (k for _, k, _ in CASE_STUDY_REFERENCE[case][:2])
+    assert simulate_multistage(problem, [(k1, 0), (k2, 37), (k1, 150)]).stable
+    again = fn.batch(rows_a)
+    assert again.tobytes() == first.tobytes()
+    assert tuning_objective(problem).batch(rows_a).tobytes() == first.tobytes()
+    assert (first < DIVERGENCE_SENTINEL).sum() >= 20
 
 
 @pytest.mark.parametrize("case, gains, names", [
