@@ -224,10 +224,16 @@ def _out_dir(args) -> Path:
 
 def _mc_validation(loop, k: np.ndarray, mc_cfg: McConfig) -> dict:
     """Monte-Carlo estimate at ``k`` against the analytic variance it converges
-    to; with independent cascade shocks the cross term averages out."""
-    kernel = _LoopKernel(loop)
-    est = (mc_variance_single(loop, ReducedPidParams.from_array(k), mc_cfg) if kernel.single
-           else mc_variance_cascade(loop, CascadeParams.from_array(k), mc_cfg))
+    to: truncated where the oracle's own settling probe found the shock
+    response spent, never short of the problem's truncation, or at N samples
+    when the probe did not settle within the burn-in; with independent
+    cascade shocks the cross term averages out."""
+    if isinstance(loop, SingleLoopProblem):
+        est = mc_variance_single(loop, ReducedPidParams.from_array(k), mc_cfg)
+    else:
+        est = mc_variance_cascade(loop, CascadeParams.from_array(k), mc_cfg)
+    horizon = mc_cfg.samples if est.settle is None else max(loop.truncation, est.settle)
+    kernel = _LoopKernel(replace(loop, truncation=horizon))
     if kernel.single or mc_cfg.correlation_mode == "fully_correlated":
         return est.validation_block(kernel.variance(k))
     phi1, phi2 = kernel.shock(k, kernel.forcing(np.eye(2)))

@@ -3,9 +3,7 @@
 The oracle drives the closed loop with white Gaussian noise, keeping the
 controller and every transfer function as separate difference equations.
 The estimator shares nothing with the analytic closed-loop kernel, so
-agreement between the two is evidence, not tautology (the analytic shock
-response is consulted only to refuse loops whose response does not decay
-before a long simulation is wasted on them).
+agreement between the two is evidence, not tautology.
 
 A run of N samples with burn-in B is split into independent chains sized by
 the loop's own settling time. The settling probe runs the oracle's own
@@ -19,8 +17,11 @@ which the response holds at most SETTLE_TOL of its total energy: from there
 on each sample's variance falls short of the stationary one by at most
 SETTLE_TOL. The probe's horizon starts at 16 dead times (of both loops in
 the cascade) and doubles until its last half holds at most SETTLE_TOL of the
-energy, stopping once it reaches B; a loop that has not settled by then has
-no ``settle`` (None) and runs as one chain. Otherwise the run has
+energy, stopping once it reaches B. The probe is the oracle's only stability
+verdict. It refuses a response that crosses the divergence limit, and one
+that has not settled by B and whose last half still holds more than half
+the energy of its first. Any other loop that has not settled by then has no
+``settle`` (None) and runs as one chain. Otherwise the run has
 R = max(1, B // settle) chains, capped at N - B - MIN_KEPT_SAMPLES + 1 so it
 keeps at least MIN_KEPT_SAMPLES samples, of L = N // R samples each, and
 each chain discards its own B // R >= settle samples.
@@ -45,14 +46,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .cascade import CascadeParams, CascadeProblem, cascade_impulse
+from .cascade import CascadeParams, CascadeProblem
 from .lti import DiscreteTransferFunction
-from .singleloop import ReducedPidParams, SingleLoopProblem, closed_loop_impulse
+from .singleloop import ReducedPidParams, SingleLoopProblem
 from .tlbo import whole
 
 DIVERGENCE_LIMIT = 1e9
@@ -139,15 +141,8 @@ def _variance_with_se(y: np.ndarray, burn: int, mode: str, settle: int | None) -
     batches = post[:usable].reshape(nbatch, -1)
     bvars = batches.var(axis=1)
     se = float(bvars.std(ddof=1) / math.sqrt(nbatch))
-    return McEstimate(
-        estimate=est,
-        standard_error=se,
-        samples=y.size,
-        burn_in=chains * burn,
-        mode=mode,
-        chains=chains,
-        settle=settle,
-    )
+    return McEstimate(estimate=est, standard_error=se, samples=y.size, burn_in=chains * burn,
+                      mode=mode, chains=chains, settle=settle)
 
 
 def _filter_path(tf: DiscreteTransferFunction, x: np.ndarray) -> np.ndarray:
@@ -155,23 +150,6 @@ def _filter_path(tf: DiscreteTransferFunction, x: np.ndarray) -> np.ndarray:
     b = np.zeros(tf.delay + len(tf.num))
     b[tf.delay:] = tf.num
     return lfilter(b, tf.den, x, axis=0)
-
-
-def _check_decay(phis, label: str):
-    """Reject loops whose shock response does not die out over 16 dead times."""
-    for phi in phis:
-        if not np.all(np.isfinite(phi)):
-            raise McStabilityError(f"{label}: closed-loop response diverges")
-        n = phi.size
-        head = float(phi[: n // 2] @ phi[: n // 2])
-        tail = float(phi[n // 2 :] @ phi[n // 2 :])
-        if head == 0.0:
-            continue
-        if tail > 0.5 * head:
-            raise McStabilityError(
-                f"{label}: closed-loop response does not decay "
-                f"(tail/head energy ratio {tail / head:.3f})"
-            )
 
 
 def _process_block(x: np.ndarray, inp: np.ndarray, tf: DiscreteTransferFunction,
@@ -275,12 +253,14 @@ def _simulate_cascade(
     return y1
 
 
-def _settle(energy: Callable[[int], np.ndarray], horizon: int, burn_in: int) -> int | None:
+def _settle(energy: Callable[[int], np.ndarray], horizon: int, burn_in: int,
+            label: str) -> int | None:
     """Samples up to and including the first one after which the shock
     response energy per sample, ``energy(n)`` over n samples from rest, holds
     at most SETTLE_TOL of its total; None when the horizon, doubled from
     ``horizon``, reaches ``burn_in`` before its last half holds that little.
-    A response that diverges is reported as the probe's, at its own sample."""
+    Refuses a response that diverges, at its own sample, and one whose last
+    half at that horizon holds more than half the energy of its first."""
     while True:
         try:
             e = energy(horizon)
@@ -288,52 +268,58 @@ def _settle(energy: Callable[[int], np.ndarray], horizon: int, burn_in: int) -> 
             raise McStabilityError(
                 f"settling probe (unit-shock response over {horizon} samples): {exc}") from None
         after = np.append(np.cumsum(e[:0:-1])[::-1], 0.0)    # energy after each sample
-        limit = SETTLE_TOL * (e[0] + after[0])
-        if after[horizon // 2 - 1] <= limit:
-            return int(np.argmax(after <= limit)) + 1
+        total, tail = e[0] + after[0], after[horizon // 2 - 1]
+        if tail <= SETTLE_TOL * total:
+            return int(np.argmax(after <= SETTLE_TOL * total)) + 1
         if horizon >= burn_in:
+            if tail > 0.5 * (head := total - tail):
+                raise McStabilityError(
+                    f"{label}: closed-loop response does not decay (tail/head energy ratio "
+                    f"{tail / head if head else math.inf:.3f} over {horizon} samples)")
             return None
         horizon *= 2
 
 
-def _impulse(n: int, columns: int) -> np.ndarray:
-    """A unit shock at sample 0 in each of ``columns`` chains of n samples."""
-    x = np.zeros((n, columns))
-    x[0] = 1.0
-    return x
+def _shock_response(simulate, paths, n: int) -> np.ndarray:
+    """The oracle's outputs (n, sources) for a unit shock at sample 0 on each
+    noise source alone: column j drives only the disturbance path j."""
+    shock = np.zeros((n, len(paths)))
+    shock[0] = 1.0
+    return simulate(*(_filter_path(tf, shock * e) for tf, e in zip(paths, np.eye(len(paths)))))
 
 
-def _shock_response_single(problem: SingleLoopProblem, k: ReducedPidParams,
-                           n: int) -> np.ndarray:
-    """The oracle's output (n, 1) for a unit noise shock at sample 0."""
-    return _simulate_single(problem, k, _filter_path(problem.disturbance, _impulse(n, 1)))
+def _estimate(simulate, paths, scales, delay: int, cfg: McConfig, mode: str,
+              label: str) -> McEstimate:
+    """The estimate for a loop whose outputs (L, R) ``simulate`` gives from one
+    disturbance per path in ``paths``, path j driven by white noise of standard
+    deviation ``scales[j]``, with the probe starting at 16 ``delay`` samples;
+    fully correlated shocks reuse the first source's draw."""
+    correlated = cfg.correlation_mode == "fully_correlated"
+    # the scales weigh the sources against each other; a lone source needs
+    # none, since the settle rule is a ratio of its energies
+    weights = np.array(scales) if len(scales) > 1 else np.ones(1)
 
+    def energy(n):
+        y = _shock_response(simulate, paths, n) * weights
+        return y.sum(axis=1) ** 2 if correlated else (y ** 2).sum(axis=1)
 
-def _shock_response_cascade(problem: CascadeProblem, k: CascadeParams,
-                            n: int) -> np.ndarray:
-    """The oracle's outer outputs (n, 2) for a unit outer noise shock (column
-    0) and a unit inner one (column 1) at sample 0."""
-    shock = _impulse(n, 2)
-    w1 = _filter_path(problem.outer_disturbance, shock * (1.0, 0.0))
-    w2 = _filter_path(problem.inner_disturbance, shock * (0.0, 1.0))
-    return _simulate_cascade(problem, k, w1, w2)
+    settle = _settle(energy, 16 * delay, cfg.burn_in, label)
+    chains, length, burn = cfg.layout(settle)
+    rng = np.random.default_rng(cfg.seed)
+    z = [rng.standard_normal((chains, length)).T]
+    for _ in scales[1:]:
+        z.append(z[0] if correlated else rng.standard_normal((chains, length)).T)
+    y = simulate(*(_filter_path(tf, s * zj) for tf, s, zj in zip(paths, scales, z)))
+    return _variance_with_se(y, burn, mode, settle)
 
 
 def mc_variance_single(
     problem: SingleLoopProblem, k: ReducedPidParams, cfg: McConfig
 ) -> McEstimate:
     """Empirical output variance of the stochastic single loop."""
-    d = problem.process.delay
-    probe = replace(problem, truncation=16 * d)
-    _check_decay([closed_loop_impulse(probe, k)], "single loop")
-    settle = _settle(lambda n: _shock_response_single(problem, k, n)[:, 0] ** 2,
-                     16 * d, cfg.burn_in)
-
-    chains, length, burn = cfg.layout(settle)
-    rng = np.random.default_rng(cfg.seed)
-    shocks = rng.standard_normal((chains, length)).T * math.sqrt(problem.noise_variance)
-    w = _filter_path(problem.disturbance, shocks)
-    return _variance_with_se(_simulate_single(problem, k, w), burn, "single", settle)
+    return _estimate(partial(_simulate_single, problem, k), [problem.disturbance],
+                     [math.sqrt(problem.noise_variance)], problem.process.delay, cfg,
+                     "single", "single loop")
 
 
 def mc_variance_cascade(
@@ -345,23 +331,8 @@ def mc_variance_cascade(
     one, which is the reading under which the analytic cross term holds
     exactly; in independent mode the cross contribution averages out.
     """
-    d = problem.outer.delay + problem.inner.delay
-    probe = replace(problem, truncation=16 * d)
-    _check_decay(cascade_impulse(probe, k), "cascade")
-    s1 = math.sqrt(problem.noise_variances[0])
-    s2 = math.sqrt(problem.noise_variances[1])
-    correlated = cfg.correlation_mode == "fully_correlated"
-
-    def energy(n):
-        y = _shock_response_cascade(problem, k, n) * (s1, s2)
-        return y.sum(axis=1) ** 2 if correlated else (y ** 2).sum(axis=1)
-
-    settle = _settle(energy, 16 * d, cfg.burn_in)
-    chains, length, burn = cfg.layout(settle)
-    rng = np.random.default_rng(cfg.seed)
-    z1 = rng.standard_normal((chains, length)).T
-    z2 = z1 if correlated else rng.standard_normal((chains, length)).T
-    w1 = _filter_path(problem.outer_disturbance, s1 * z1)
-    w2 = _filter_path(problem.inner_disturbance, s2 * z2)
-    y1 = _simulate_cascade(problem, k, w1, w2)
-    return _variance_with_se(y1, burn, cfg.correlation_mode, settle)
+    return _estimate(partial(_simulate_cascade, problem, k),
+                     [problem.outer_disturbance, problem.inner_disturbance],
+                     [math.sqrt(v) for v in problem.noise_variances],
+                     problem.outer.delay + problem.inner.delay, cfg,
+                     cfg.correlation_mode, "cascade loop")

@@ -205,10 +205,12 @@ class _LoopKernel:
     def shock(self, ks, forcing) -> np.ndarray:
         """The shock response of ``forcing`` (from ``forcing()``) under one
         gain set, over the truncation."""
-        kappa, _, a_cl = self.closed_loop_batch([ks])
-        f0, f1 = forcing
-        x = f0 + kappa[0] * f1
-        return self.responses(a_cl, x.reshape(1, -1, x.shape[-1]))[0].reshape(x.shape)
+        # non-finite gains give a non-finite A_cl and response, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa, _, a_cl = self.closed_loop_batch([ks])
+            f0, f1 = forcing
+            x = f0 + kappa[0] * f1
+            return self.responses(a_cl, x.reshape(1, -1, x.shape[-1]))[0].reshape(x.shape)
 
     def responses(self, a_cl, x, zi=None) -> np.ndarray:
         """1/A_cl of row i of the (m, n) a_cl applied to every signal that
@@ -272,8 +274,13 @@ class _LoopKernel:
     batch = variance_batch
 
     def radius(self, ks) -> float:
-        """Largest |root| of A_cl under one gain set."""
-        return float(np.abs(np.roots(self.closed_loop_batch([ks])[2][0])).max(initial=0.0))
+        """Largest |root| of A_cl under one gain set; inf where A_cl is not
+        finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_cl = self.closed_loop_batch([ks])[2][0]
+        if not np.isfinite(a_cl).all():
+            return math.inf
+        return float(np.abs(np.roots(a_cl)).max(initial=0.0))
 
 
 def closed_loop_impulse(problem: SingleLoopProblem, k: ReducedPidParams) -> np.ndarray:

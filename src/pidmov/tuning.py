@@ -167,8 +167,8 @@ def _stage(kernel: _LoopKernel, a_cl, x, amplitude: float, e: np.ndarray,
     objective too. Every signal of a row goes through its 1/A_cl in one
     ``kernel.responses`` call. Return each row's first sample where an
     output left its divergence limit or was not finite, or stop if none
-    did. Call it inside ``np.errstate`` that ignores overflow and invalid
-    operations.
+    did, and the outputs r - e from sample s on. Call it inside
+    ``np.errstate`` that ignores overflow and invalid operations.
     """
     limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
     stop = e.shape[1]
@@ -183,11 +183,12 @@ def _stage(kernel: _LoopKernel, a_cl, x, amplitude: float, e: np.ndarray,
         v[:, s:] = out[:, j, : stop - s]
     if phi is not None:
         phi[:] = out[:, -1, : phi.shape[1]]
-    kept = np.abs(amplitude - e[:, s:]) <= limit
+    y = amplitude - e[:, s:]
+    kept = np.abs(y) <= limit
     if cascade:
         # the inner output may run 100x further before the loop counts as lost
         kept &= np.abs(y2[:, s:]) <= 100.0 * limit
-    return s + np.where(kept.all(axis=1), stop - s, np.argmin(kept, axis=1))
+    return s + np.where(kept.all(axis=1), stop - s, np.argmin(kept, axis=1)), y
 
 
 def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
@@ -227,7 +228,8 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
                                 kappa[0] * (integ[-1] - integ_new[-1]))
                 corr[: s + 1] = np.diff(c_u, prepend=0.0)
             x = _forcing(kernel, kappa, p, amplitude, stop, s, corr)
-            t = int(_stage(kernel, a_cl, x, amplitude, e[None, :stop], y2[None, :stop], s)[0])
+            t, _ = _stage(kernel, a_cl, x, amplitude, e[None, :stop], y2[None, :stop], s)
+            t = int(t[0])
             if t < stop:
                 e[t + 1:] = amplitude
                 return amplitude - e, t
@@ -284,9 +286,9 @@ def tuning_objective(problem: TuningProblem):
         with np.errstate(over="ignore", invalid="ignore"):
             kappa, p, a_cl = kernel.closed_loop_batch(ks)
             x = shared if shared is not None else _forcing(kernel, kappa, p, sp, n, shock=width)
-            t = _stage(kernel, a_cl, x, sp, e, y2, phi=phi)
+            t, y = _stage(kernel, a_cl, x, sp, e, y2, phi=phi)
             # _finish_record's sum over _step_response's y, so J == record.iae
-            out = np.where(t < n, divergence_penalty(t, n), np.abs(sp - (sp - e)).sum(axis=1))
+            out = np.where(t < n, divergence_penalty(t, n), np.abs(sp - y).sum(axis=1))
             if phi is not None:
                 bounded = out < DIVERGENCE_SENTINEL
                 var = kernel.sum_of_squares(phi[bounded])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def test_assess_validate_independent_cascade(tmp_path, capsys):
     # the gain box keeps k5 >= -1.2, so the best run, (1.206, -1.2, -1.173),
     # is stable (closed-loop radius 0.9977); the mode comes from the problem
     # file, and the analytic side of an independent-shock check has no cross
-    # term
+    # term and runs over the 2245 samples the oracle's probe needs to settle,
+    # not the 80 of the problem's truncation, which drop 1.8% of it
     doc = {**CASCADE, "tlbo": {"seed": 11, "bounds": [-1.2, 3]},
            "mc": {"mode": "independent", "samples": 200000, "seed": 1}}
     path = write(tmp_path, doc, "immersion.json")
@@ -87,13 +89,18 @@ def test_assess_validate_independent_cascade(tmp_path, capsys):
     v = payload["validation"]
     assert v["mode"] == "independent"
     assert payload["closed_loop_radius"] < 1
-    loop = _parse_loop(doc)
-    phi1, phi2 = cascade_impulse(loop, CascadeParams(*payload["params"]["best"]))
-    assert v["analytic"] == pytest.approx(
-        float(phi1 @ phi1) * 5e-5 + float(phi2 @ phi2) * 5e-4, rel=1e-12)
-    assert v["relative_error"] <= 0.02
     # settles within 2245 samples: 20000 // 2245 = 8 chains of 25000
     assert (v["settle"], v["chains"], v["samples"]) == (2245, 8, 200000)
+    loop = _parse_loop(doc)
+    k = CascadeParams(*payload["params"]["best"])
+
+    def no_cross(p):
+        phi1, phi2 = cascade_impulse(replace(loop, truncation=p), k)
+        return float(phi1 @ phi1) * 5e-5 + float(phi2 @ phi2) * 5e-4
+
+    assert v["analytic"] == pytest.approx(no_cross(2245), rel=1e-12)
+    assert 1 - no_cross(80) / v["analytic"] == pytest.approx(0.018, abs=1e-3)
+    assert v["relative_error"] <= 0.02
 
 
 def test_assess_validate_unstable_best_run_fails(tmp_path, capsys):
@@ -123,7 +130,10 @@ def test_assess_validates_the_best_run(tmp_path, capsys):
     payload = json.loads((tmp_path / "problem_assess.json").read_text())
     best = np.array(payload["params"]["best"])
     assert not np.array_equal(best, payload["params"]["mean"])
-    assert payload["validation"]["analytic"] == cpa_objective(_parse_loop(doc))(best)
+    # at the 42 samples bench 1 needs to settle, past its truncation of 40
+    loop = _parse_loop(doc)
+    assert (payload["validation"]["settle"], loop.truncation) == (42, 40)
+    assert payload["validation"]["analytic"] == cpa_objective(replace(loop, truncation=42))(best)
     assert f"params:      {np.array2string(best, precision=4)} (best run)\n" in out
 
 
@@ -359,8 +369,9 @@ def test_validate_samples_too_few_for_a_standard_error(tmp_path, capsys):
 
 def test_validate_mode_overrides_problem_file(tmp_path, capsys):
     # the problem file leaves the mode at its fully-correlated default; with
-    # independent shocks the analytic side drops the cross term,
-    # phi1'phi1 s1^2 + phi2'phi2 s2^2 = 5.108e-4 here (6.097e-4 with it)
+    # independent shocks the analytic side drops the cross term: over the 180
+    # samples the loop needs to settle, phi1'phi1 s1^2 + phi2'phi2 s2^2 =
+    # 5.117e-4 here (6.110e-4 with it)
     path = write(tmp_path, CASCADE, "immersion.json")
     code = main(["validate", str(path), "--params", "2.7638,-2.6554,-0.8436",
                  "--samples", "20000", "--mode", "independent", "--out", str(tmp_path)])
@@ -370,7 +381,7 @@ def test_validate_mode_overrides_problem_file(tmp_path, capsys):
     # settles within 180 samples: 2000 // 180 = 11 chains of 1818 samples
     assert (payload["settle"], payload["chains"]) == (180, 11)
     assert (payload["samples"], payload["burn_in"]) == (11 * 1818, 11 * 181)
-    assert payload["analytic"] == pytest.approx(5.108e-4, rel=1e-3)
+    assert payload["analytic"] == pytest.approx(5.117e-4, rel=1e-4)
     assert code == 0
 
 
@@ -430,6 +441,30 @@ def test_validate_notes_underpowered_check(tmp_path, capsys):
     assert "note: underpowered" in out
     # the verdict is still the 2% rule alone
     assert code == (0 if payload["relative_error"] <= 0.02 else 1)
+    # with no settling time, the analytic side runs over all N samples
+    phi1, phi2 = cascade_impulse(replace(_parse_loop(CASCADE), truncation=20000),
+                                 CascadeParams(2.5223, -2.5218, -1.1225))
+    assert payload["analytic"] == pytest.approx(
+        float(phi1 @ phi1) * 5e-5 + float(phi2 @ phi2) * 5e-4, rel=1e-12)
+
+
+def test_validate_slowly_settling_loop(tmp_path, capsys):
+    # bench 1 at 0.03 times its published gains settles after 1230 samples:
+    # its analytic variance there is 47.49, against 17.40 over the truncation
+    # of 40 samples, and the estimate of test_mc's slowly settling loop
+    # (same seed and N) agrees with the former
+    path = write(tmp_path, {**BENCH1, "mc": {"seed": 1}})
+    k = 0.03 * np.array([2.8408, -4.4059, 1.7486])
+    code = main(["validate", str(path), "--params", ",".join(map(str, k.tolist())),
+                 "--samples", "400000", "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "problem_validate.json").read_text())
+    assert (payload["settle"], payload["chains"]) == (1230, 32)
+    loop = _parse_loop(BENCH1)
+    assert payload["analytic"] == cpa_objective(replace(loop, truncation=1230))(k)
+    assert payload["analytic"] == pytest.approx(47.49, abs=0.01)
+    assert cpa_objective(loop)(k) == pytest.approx(17.40, abs=0.01)
+    assert payload["relative_error"] <= 0.02 and abs(payload["z"]) < 3
 
 
 def test_validate_powered_check_has_no_note(tmp_path, capsys):

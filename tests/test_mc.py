@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,13 @@ from pidmov import (
     SingleLoopProblem,
     cascade_impulse,
     cascade_objective,
+    closed_loop_radius,
     cpa_objective,
     load_benchmark,
     load_case_study,
     mc_variance_cascade,
     mc_variance_single,
 )
-from pidmov.mc import _check_decay
 
 TABLE3_K1 = ReducedPidParams(2.8408, -4.4059, 1.7486)
 
@@ -33,11 +35,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be a whole number"):
             McConfig(**{"samples": 1000, **bad})
     assert McConfig(samples=1000.0, burn_in=10.0).burn_in == 10
-
-
-def test_decay_check_rejects_a_non_finite_probe():
-    with pytest.raises(McStabilityError, match="diverges"):
-        _check_decay([np.array([1.0, 0.5, np.inf, 0.0])], "probe")
 
 
 def test_static_disturbance_open_loop():
@@ -75,6 +72,40 @@ def test_unstable_candidate_rejected_by_precheck():
     with pytest.raises(McStabilityError, match="decay|diverge"):
         mc_variance_single(problem, ReducedPidParams(40.0, 40.0, 40.0),
                            McConfig(samples=10_000, seed=0))
+
+
+def test_slowly_settling_loop_admitted():
+    # bench 1 at 0.03 times its published gains: closed-loop radius 0.9944,
+    # settled after 1230 samples, so 40,000 // 1230 = 32 chains; the
+    # variance it converges to is the long-horizon one, not the 17.40 that
+    # the 40-sample truncation keeps. At this N the standard error is 2.8%,
+    # so the 2% agreement is this seed's; the bound of three standard errors
+    # is the statistical check
+    problem = load_benchmark(1)
+    k = 0.03 * TABLE3_K1.as_array()
+    long_horizon = float(cpa_objective(replace(problem, truncation=40_000))(k))
+    assert long_horizon == pytest.approx(47.49, abs=0.01)
+    est = mc_variance_single(problem, ReducedPidParams.from_array(k),
+                             McConfig(samples=400_000, seed=1))
+    assert (est.settle, est.chains) == (1230, 32)
+    assert abs(est.estimate - long_horizon) / long_horizon < 0.02
+    assert abs(est.estimate - long_horizon) < 3 * est.standard_error
+
+
+def test_slowly_diverging_loop_refused_as_not_decaying():
+    # bench 1's published gains with k1 lowered to k1 + k2 + k3 = -1e-4:
+    # integral action of the wrong sign, a real root just outside the unit
+    # circle; the probe's response neither settles nor crosses the
+    # divergence limit within the burn-in, but its last half holds more
+    # energy than its first
+    problem = load_benchmark(1)
+    k = TABLE3_K1.as_array()
+    k[0] = -1e-4 - k[1] - k[2]
+    assert 1.0 < closed_loop_radius(problem, k) < 1.0001
+    with pytest.raises(McStabilityError,
+                       match="^single loop: closed-loop response does not decay"):
+        mc_variance_single(problem, ReducedPidParams.from_array(k),
+                           McConfig(samples=20_000, seed=0))
 
 
 def test_open_loop_integrating_disturbance_rejected():

@@ -13,6 +13,7 @@ fits into the burn-in.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,8 +39,7 @@ from pidmov.mc import (
     DIVERGENCE_LIMIT,
     MIN_KEPT_SAMPLES,
     SETTLE_TOL,
-    _shock_response_cascade,
-    _shock_response_single,
+    _shock_response,
     _simulate_cascade,
     _simulate_single,
 )
@@ -277,14 +277,17 @@ def test_probe_is_the_single_loop_shock_response(name):
     # response over the truncation, with no random number involved
     problem, k = SINGLE_CASES[name]
     phi = closed_loop_impulse(problem, ReducedPidParams(*k))
-    y = _shock_response_single(problem, ReducedPidParams(*k), phi.size)
+    y = _shock_response(partial(_simulate_single, problem, ReducedPidParams(*k)),
+                        [problem.disturbance], phi.size)
     assert y.shape == (problem.truncation, 1)
     assert_same_response(y[:, 0], phi)
 
 
 def test_probe_is_the_cascade_shock_response():
     phis = cascade_impulse(IMMERSION, CascadeParams(*CASCADE_K))
-    y = _shock_response_cascade(IMMERSION, CascadeParams(*CASCADE_K), IMMERSION.truncation)
+    y = _shock_response(partial(_simulate_cascade, IMMERSION, CascadeParams(*CASCADE_K)),
+                        [IMMERSION.outer_disturbance, IMMERSION.inner_disturbance],
+                        IMMERSION.truncation)
     assert y.shape == (IMMERSION.truncation, 2)
     for col, phi in zip(y.T, phis):
         assert_same_response(col, phi)

@@ -6,6 +6,7 @@ instances are kept when the closed loop, assembled independently in
 ``oracles.pole_radius``, has every pole inside radius 0.995.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -248,6 +249,18 @@ def test_non_finite_gain_rows_are_penalized_without_a_warning(loop):
     # in a batch with finite rows, which keep their own values
     mixed = np.vstack([rows, np.ones(3), rows[::-1]])
     assert objective.batch(mixed).tolist() == [*scalar, objective(np.ones(3)), *scalar[::-1]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", NON_FINITE_ROWS)
+def test_single_gain_set_paths_take_non_finite_gains_without_a_warning(row):
+    # a non-finite gain makes A_cl non-finite: the shock response is not
+    # finite, and its radius is inf rather than an error from np.roots
+    air = load_case_study("air_single").loop
+    immersion = load_case_study("immersion_cascade").loop
+    assert not np.isfinite(closed_loop_impulse(air, ReducedPidParams(*row))).all()
+    assert not np.isfinite(cascade_impulse(immersion, CascadeParams(*row))).all()
+    assert closed_loop_radius(air, row) == closed_loop_radius(immersion, row) == math.inf
 
 
 @KERNEL_LOOPS
