@@ -20,22 +20,33 @@ the cascade) and doubles until its last half holds at most SETTLE_TOL of the
 energy, stopping once it reaches B. The probe is the oracle's only stability
 verdict. It refuses a response that crosses the divergence limit, and one
 that has not settled by B and whose last half still holds more than half
-the energy of its first. Any other loop that has not settled by then has no
-``settle`` (None) and runs as one chain. Otherwise the run has
-R = max(1, B // settle) chains, capped at N - B - MIN_KEPT_SAMPLES + 1 so it
-keeps at least MIN_KEPT_SAMPLES samples, of L = N // R samples each, and
-each chain discards its own B // R >= settle samples.
+the energy of its first; that verdict is taken over at least 32 dead times,
+so a burn-in shorter than that does not decide it. Any other loop that has
+not settled by B has no ``settle`` (None) and runs as one chain. Otherwise
+the run has R = max(1, B // settle) chains, capped at
+N - B - MIN_KEPT_SAMPLES + 1 so it keeps at least MIN_KEPT_SAMPLES samples,
+of L = N // R samples each, and each chain discards its own B // R >= settle
+samples.
 
 The chains are stepped together over the (R,) rows of time-major (L, R)
 arrays, one dead time at a time: the process inputs of the next d samples
 (d2, the inner dead time, in the cascade) are already known. So each
 numerator term, the outputs and errors, and the controller's running sum
-(one np.add.accumulate, which adds row after row) are one expression per
-block, and only the denominator recursion runs sample by sample. Every
-sample keeps the float operations, in their order, of the plain
-sample-by-sample simulation, so the outputs equal it bit for bit while the
-Python loop runs about L / d times, not N. Each chain starts at rest and has
-its own shocks (one (R, L) draw per noise source). The estimate is the
+are one expression per block, and only the denominator recursion runs
+sample by sample. The running sum adds row after row: one
+np.add.accumulate below WIDE_CHAINS chains, where its per-chain inner loop
+is cheap, and one np.add per row from there on. Every sample keeps the
+float operations, in their order, of the plain sample-by-sample
+simulation, so the outputs equal it bit for bit while the Python loop runs
+about L / d times, not N. The simulators keep their states (process inputs
+and outputs) in rolling windows: the rows of history the lags reach, then
+WINDOW_ROWS rounded down to whole blocks; a full window moves its last
+rows to the front. Each chain starts at rest and has its own shocks (one
+(R, L) draw per noise source). One draw buffer serves every source in
+turn, scaled in place, and then holds the outputs, so an estimate's
+working set is about three N-sample arrays: the draws (then the outputs)
+and the two filtered disturbances in the cascade, or the outputs and the
+variance step's copies in the single loop. The estimate is the
 variance of all kept samples; its standard error is the spread of the
 variances of 50 equal batches of the kept samples, laid out chain after
 chain, over sqrt(50) (fewer batches, at least two of two samples, for runs
@@ -61,6 +72,8 @@ DIVERGENCE_LIMIT = 1e9
 VALIDATION_RTOL = 0.02    # accepted relative error of an estimate against the analytic value
 MIN_KEPT_SAMPLES = 4      # two batches of two, the fewest with a nonzero batch spread
 SETTLE_TOL = 1e-6         # shock-response energy a chain may leave after its burn-in
+WINDOW_ROWS = 64          # simulator state rows kept past the history
+WIDE_CHAINS = 64          # chains from which the running sum adds one row at a time
 
 
 class McStabilityError(RuntimeError):
@@ -183,23 +196,45 @@ def _check_outputs(y: np.ndarray, label: str):
         raise McStabilityError(f"{label} diverged at sample {t}")
 
 
-def _simulate_single(problem: SingleLoopProblem, k: ReducedPidParams, w: np.ndarray) -> np.ndarray:
+def _running_sum(rows: np.ndarray):
+    """rows[i] = rows[i-1] + rows[i] down the rows, in place and in order.
+    One np.add.accumulate runs a strided loop per column, so from WIDE_CHAINS
+    columns on one np.add per row is faster; both add row after row."""
+    if rows.shape[1] < WIDE_CHAINS:
+        np.add.accumulate(rows, axis=0, out=rows)
+    else:
+        for prev, row in zip(rows, rows[1:]):
+            np.add(prev, row, out=row)
+
+
+def _stretch(block: int) -> int:
+    """Rows of a state window past its history: WINDOW_ROWS, rounded down to
+    whole blocks of ``block`` samples (one block at least)."""
+    return max(1, WINDOW_ROWS // block) * block
+
+
+def _simulate_single(problem: SingleLoopProblem, k: ReducedPidParams, w: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Outputs (L, R) of R single-loop chains started at rest, driven by the
-    output disturbances w (L, R)."""
+    output disturbances w (L, R); written into ``out`` when given."""
     tf = problem.process
     d = tf.delay
     k1, k2, k3 = k.k1, k.k2, k.k3
 
     n, chains = w.shape
-    h = d + len(tf.num) + len(tf.den)    # rows of rest ahead of sample 0, enough for every lag
-    u, x = np.zeros((2, h + n, chains))
-    y = np.empty((n, chains))
+    h = d + len(tf.num) + len(tf.den)    # rows of history, enough for every lag
+    span = _stretch(d)
+    state = np.zeros((2, h + span, chains))    # u and x: h rows of history, then span rows
+    u, x = state
+    y = np.empty((n, chains)) if out is None else out
     e = np.zeros((d + 2, chains))        # e[s0-2], e[s0-1], then the block's errors
     steps = np.zeros((3 * d + 1, chains))
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, n, d):        # a block of d samples reads only earlier u
             m = min(d, n - t0)
-            s0 = h + t0
+            s0 = h + t0 % span
+            if s0 == h and t0:
+                state[:, :h] = state[:, span:]
             np.add(_process_block(x, u, tf, s0, m), w[t0:t0 + m], out=y[t0:t0 + m])
             np.negative(y[t0:t0 + m], out=e[2:m + 2])
             # u[s] = ((u[s-1] + k1 e[s]) + k2 e[s-1]) + k3 e[s-2]: a running sum
@@ -208,7 +243,7 @@ def _simulate_single(problem: SingleLoopProblem, k: ReducedPidParams, w: np.ndar
             np.multiply(k1, e[2:m + 2], out=rows[1::3])
             np.multiply(k2, e[1:m + 1], out=rows[2::3])
             np.multiply(k3, e[:m], out=rows[3::3])
-            np.add.accumulate(rows, axis=0, out=rows)
+            _running_sum(rows)
             u[s0:s0 + m] = rows[3::3]
             steps[0] = rows[-1]
             e[:2] = e[m:m + 2]
@@ -217,24 +252,30 @@ def _simulate_single(problem: SingleLoopProblem, k: ReducedPidParams, w: np.ndar
 
 
 def _simulate_cascade(
-    problem: CascadeProblem, k: CascadeParams, w1: np.ndarray, w2: np.ndarray
+    problem: CascadeProblem, k: CascadeParams, w1: np.ndarray, w2: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Outer outputs (L, R) of R cascade chains started at rest, driven by the
-    outer and inner output disturbances w1, w2 (L, R)."""
+    outer and inner output disturbances w1, w2 (L, R); written into ``out``
+    when given."""
     outer, inner = problem.outer, problem.inner
     d2 = inner.delay
     k4, k5, k6 = k.k4, k.k5, k.k6
 
     n, chains = w1.shape
-    h = sum(tf.delay + len(tf.num) + len(tf.den) for tf in (outer, inner))    # rows of rest
-    u, x1, x2, y2 = np.zeros((4, h + n, chains))
-    y1 = np.empty((n, chains))
+    h = sum(tf.delay + len(tf.num) + len(tf.den) for tf in (outer, inner))    # rows of history
+    span = _stretch(d2)
+    state = np.zeros((4, h + span, chains))    # u, x1, x2 and y2, windowed as in the single loop
+    u, x1, x2, y2 = state
+    y1 = np.empty((n, chains)) if out is None else out
     e = np.zeros((d2 + 1, chains))       # e[s0-1], then the block's outer errors
     steps = np.zeros((2 * d2 + 1, chains))
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, n, d2):       # a block of d2 samples reads only earlier u
             m = min(d2, n - t0)
-            s0 = h + t0
+            s0 = h + t0 % span
+            if s0 == h and t0:
+                state[:, :h] = state[:, span:]
             y2t = np.add(_process_block(x2, u, inner, s0, m), w2[t0:t0 + m],
                          out=y2[s0:s0 + m])
             np.add(_process_block(x1, y2, outer, s0, m), w1[t0:t0 + m], out=y1[t0:t0 + m])
@@ -244,7 +285,7 @@ def _simulate_cascade(
             rows = steps[:2 * m + 1]
             np.multiply(k4, e[1:m + 1], out=rows[1::2])
             np.multiply(k5, e[:m], out=rows[2::2])
-            np.add.accumulate(rows, axis=0, out=rows)
+            _running_sum(rows)
             ut = np.subtract(rows[2::2], y2t, out=u[s0:s0 + m])
             np.multiply(k6, ut, out=ut)
             steps[0] = rows[-1]
@@ -260,7 +301,13 @@ def _settle(energy: Callable[[int], np.ndarray], horizon: int, burn_in: int,
     at most SETTLE_TOL of its total; None when the horizon, doubled from
     ``horizon``, reaches ``burn_in`` before its last half holds that little.
     Refuses a response that diverges, at its own sample, and one whose last
-    half at that horizon holds more than half the energy of its first."""
+    half holds more than half the energy of its first at the first horizon
+    that reaches both ``burn_in`` and twice ``horizon``: the verdict on a
+    short burn-in is that of a longer one, and it never rests on the first
+    horizon alone. A response that settles only past the horizon that
+    reached ``burn_in`` has no settle (None)."""
+    verdict = max(burn_in, 2 * horizon)
+    late = False             # past the horizon that reached the burn-in
     while True:
         try:
             e = energy(horizon)
@@ -270,13 +317,14 @@ def _settle(energy: Callable[[int], np.ndarray], horizon: int, burn_in: int,
         after = np.append(np.cumsum(e[:0:-1])[::-1], 0.0)    # energy after each sample
         total, tail = e[0] + after[0], after[horizon // 2 - 1]
         if tail <= SETTLE_TOL * total:
-            return int(np.argmax(after <= SETTLE_TOL * total)) + 1
-        if horizon >= burn_in:
+            return None if late else int(np.argmax(after <= SETTLE_TOL * total)) + 1
+        if horizon >= verdict:
             if tail > 0.5 * (head := total - tail):
                 raise McStabilityError(
                     f"{label}: closed-loop response does not decay (tail/head energy ratio "
                     f"{tail / head if head else math.inf:.3f} over {horizon} samples)")
             return None
+        late = horizon >= burn_in
         horizon *= 2
 
 
@@ -306,10 +354,19 @@ def _estimate(simulate, paths, scales, delay: int, cfg: McConfig, mode: str,
     settle = _settle(energy, 16 * delay, cfg.burn_in, label)
     chains, length, burn = cfg.layout(settle)
     rng = np.random.default_rng(cfg.seed)
-    z = [rng.standard_normal((chains, length)).T]
-    for _ in scales[1:]:
-        z.append(z[0] if correlated else rng.standard_normal((chains, length)).T)
-    y = simulate(*(_filter_path(tf, s * zj) for tf, s, zj in zip(paths, scales, z)))
+    # one (R, L) buffer holds each source's draw in turn and, once they are
+    # spent, the outputs; path j filters its scaled draw as (L, R)
+    z = rng.standard_normal((chains, length))
+    w = []
+    for j, (tf, s) in enumerate(zip(paths, scales)):
+        if j and not correlated:
+            rng.standard_normal(out=z)
+        if correlated and j + 1 < len(paths):    # the draw is scaled again for the next path
+            w.append(_filter_path(tf, s * z.T))
+        else:
+            w.append(_filter_path(tf, np.multiply(z, s, out=z).T))
+    y = simulate(*w, out=z.reshape(length, chains))
+    del w    # the disturbances are spent: free them before the variance step's copies
     return _variance_with_se(y, burn, mode, settle)
 
 

@@ -111,13 +111,14 @@ def minimize(objective, cfg: TlboConfig) -> OptResult:
 def _partners(rng: np.random.Generator, learners: np.ndarray) -> np.ndarray:
     """A random partner per learner, other than the learner itself;
     ``learners`` is ``np.arange(population)``. Only the clashing learners
-    are redrawn, in index order, so the draws are those of redrawing every
-    clash."""
+    are redrawn, in index order and one scalar draw each, so the draws are
+    those of redrawing every clash."""
     npop = learners.size
     partners = rng.integers(0, npop, size=npop)
     clash = np.flatnonzero(partners == learners)
     while clash.size:
-        partners[clash] = rng.integers(0, npop, size=clash.size)
+        for i in clash:
+            partners[i] = rng.integers(npop)
         clash = clash[partners[clash] == clash]
     return partners
 

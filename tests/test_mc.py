@@ -108,6 +108,24 @@ def test_slowly_diverging_loop_refused_as_not_decaying():
                            McConfig(samples=20_000, seed=0))
 
 
+def test_decay_verdict_does_not_depend_on_a_short_burn_in():
+    # a burn-in shorter than the probe's first horizon (16 dead times, 80
+    # samples) still gets the verdict over two horizons: the 0.03x loop's
+    # last half over 80 samples holds 0.63 of its first half's energy, but
+    # less than half over 160, and the wrong-sign loop holds more at both
+    problem = load_benchmark(1)
+    slow = ReducedPidParams.from_array(0.03 * TABLE3_K1.as_array())
+    k = TABLE3_K1.as_array()
+    k[0] = -1e-4 - k[1] - k[2]
+    diverging = ReducedPidParams.from_array(k)
+    for samples, burn_in in ((500, None), (800, None), (1_000, None), (20_000, 50)):
+        cfg = McConfig(samples=samples, burn_in=burn_in, seed=1)
+        est = mc_variance_single(problem, slow, cfg)
+        assert (est.settle, est.chains) == (None, 1)
+        with pytest.raises(McStabilityError, match="does not decay"):
+            mc_variance_single(problem, diverging, cfg)
+
+
 def test_open_loop_integrating_disturbance_rejected():
     # random walk never settles; the oracle must refuse rather than report a
     # meaningless variance

@@ -5,13 +5,16 @@ arrays, one dead time of samples per step. Each column must equal, bit for
 bit, the chain that ``oracles.mc_chain_single`` / ``mc_chain_cascade``
 produce one scalar sample at a time from the same disturbances with the same
 float operations in the same order, whatever the process order and however
-the chain length falls on the dead time; divergence must be caught at the
-same sample, and the chain layout, the draw order and the reported counts
-must follow the documented rule: as many chains as the loop's settling time
-fits into the burn-in.
+the chain length falls on the dead time and on the state windows, and on
+either side of the width where the running sum changes form; divergence must
+be caught at the same sample, and the chain layout, the draw order and the
+reported counts must follow the documented rule: as many chains as the
+loop's settling time fits into the burn-in. An estimate holds about three
+N-sample arrays at its peak.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -39,9 +42,11 @@ from pidmov.mc import (
     DIVERGENCE_LIMIT,
     MIN_KEPT_SAMPLES,
     SETTLE_TOL,
+    WIDE_CHAINS,
     _shock_response,
     _simulate_cascade,
     _simulate_single,
+    _stretch,
 )
 
 from oracles import mc_chain_cascade, mc_chain_single
@@ -64,11 +69,21 @@ CASCADE_K = (2.7638, -2.6554, -0.8436)
 ASSESSED_CASCADE_K = (2.5223, -2.5218, -1.1225)
 
 
-def with_lengths(names):
+def with_lengths(names, block):
     """Each name at chain lengths that are, and are not, whole numbers of dead
-    times; the 3000-sample case keeps the bare name as its id."""
-    return [pytest.param(name, n, id=name if n == 3000 else f"{name}-{n}")
-            for name in names for n in (3000, 2999, 7, 1)]
+    times, and that end on and just past a state-window shift (``block``
+    gives a name's dead time), at 4 chains and at WIDE_CHAINS chains, either
+    side of the running sum's switch. The 3000-sample case at 4 chains keeps
+    the bare name as its id."""
+    params = []
+    for name in names:
+        span = _stretch(block(name))
+        for width in (4, WIDE_CHAINS):
+            for n in (3000, 2999, 7, 1, span, span + 1, 2 * span, 2 * span + 1):
+                id_ = name if n == 3000 else f"{name}-{n}"
+                params.append(pytest.param(name, n, width,
+                                           id=id_ if width == 4 else f"{id_}-wide"))
+    return params
 
 
 def disturbance(tf, shocks):
@@ -77,37 +92,48 @@ def disturbance(tf, shocks):
     return np.column_stack([lfilter(num, tf.den, col) for col in shocks.T])
 
 
+def widen(w, width):
+    """``width`` columns from the 4 of w: column c is w[:, c % 4] times
+    2 ** (c // 4), so its chain is the reference chain of w[:, c % 4] scaled by
+    that power of two exactly, and no two columns are equal."""
+    c = np.arange(width)
+    return w[:, c % 4] * 2.0 ** (c // 4)
+
+
 def assert_columns_match(y, refs):
-    assert y.shape[1] == len(refs)
-    for col, ref in zip(y.T, refs):
-        assert np.array_equal(col, ref)
+    assert y.shape[1] % len(refs) == 0
+    for c, col in enumerate(y.T):
+        assert np.array_equal(col, refs[c % len(refs)] * 2.0 ** (c // len(refs)))
 
 
 def diverged_sample(excinfo) -> int:
     return int(str(excinfo.value).rsplit("at sample ", 1)[1])
 
 
-@pytest.mark.parametrize("name, n", with_lengths(sorted(SINGLE_CASES)))
-def test_single_columns_match_scalar_reference(name, n):
+@pytest.mark.parametrize("name, n, width", with_lengths(
+    sorted(SINGLE_CASES), lambda name: SINGLE_CASES[name][0].process.delay))
+def test_single_columns_match_scalar_reference(name, n, width):
     problem, k = SINGLE_CASES[name]
     rng = np.random.default_rng(7)
     w = disturbance(problem.disturbance,
                     rng.standard_normal((n, 4)) * math.sqrt(problem.noise_variance))
-    y = _simulate_single(problem, ReducedPidParams(*k), w)
+    y = _simulate_single(problem, ReducedPidParams(*k), widen(w, width))
     refs = [mc_chain_single(problem, k, col, DIVERGENCE_LIMIT) for col in w.T]
     assert all(t is None for _, t in refs)
     assert_columns_match(y, [ref for ref, _ in refs])
 
 
-@pytest.mark.parametrize("mode, n", with_lengths(["independent", "fully_correlated"]))
-def test_cascade_columns_match_scalar_reference(mode, n):
+@pytest.mark.parametrize("mode, n, width", with_lengths(
+    ["independent", "fully_correlated"], lambda mode: IMMERSION.inner.delay))
+def test_cascade_columns_match_scalar_reference(mode, n, width):
     rng = np.random.default_rng(8)
     s1, s2 = (math.sqrt(v) for v in IMMERSION.noise_variances)
     z1 = rng.standard_normal((n, 4))
     z2 = z1 if mode == "fully_correlated" else rng.standard_normal((n, 4))
     w1 = disturbance(IMMERSION.outer_disturbance, s1 * z1)
     w2 = disturbance(IMMERSION.inner_disturbance, s2 * z2)
-    y = _simulate_cascade(IMMERSION, CascadeParams(*CASCADE_K), w1, w2)
+    y = _simulate_cascade(IMMERSION, CascadeParams(*CASCADE_K), widen(w1, width),
+                          widen(w2, width))
     refs = [mc_chain_cascade(IMMERSION, CASCADE_K, a, b, DIVERGENCE_LIMIT)
             for a, b in zip(w1.T, w2.T)]
     assert all(t is None for _, t in refs)
@@ -205,9 +231,11 @@ def test_chains_that_keep_no_sample_rejected():
 
 
 def test_one_chain_is_the_scalar_simulation():
-    # a burn-in shorter than bench 1's 42 settling samples leaves one chain:
-    # the probe stops at its first horizon, 16 dead times, where the response
-    # has not yet left at most SETTLE_TOL of its energy in the last half
+    # a burn-in shorter than bench 1's 42 settling samples leaves one chain
+    # with no settle: the response has not yet left at most SETTLE_TOL of its
+    # energy in the last half of the probe's first horizon, 16 dead times,
+    # which reaches the burn-in; the second horizon, which the decay verdict
+    # needs, sees it settle, but too late to give chains
     problem, k = SINGLE_CASES["bench1"]
     cfg = McConfig(samples=15_000, burn_in=41, seed=4)
     est = mc_variance_single(problem, ReducedPidParams(*k), cfg)
@@ -357,3 +385,24 @@ def test_layout_rule(samples, data):
     # only the cap on kept samples stops short of burn_in // settle chains
     if burn_in // settle <= samples - burn_in - MIN_KEPT_SAMPLES + 1:
         assert chains == max(1, burn_in // settle)
+
+
+def test_estimate_holds_about_three_sample_arrays():
+    # the draws are scaled in place, the outputs are written into the spent
+    # draws, and the simulators keep only rolling state windows: at its peak an
+    # estimate holds its draws (then outputs), the filtered disturbances and
+    # the variance step's copies, under 3.5 arrays of N samples
+    n = 200_000
+    runs = [partial(mc_variance_single, BENCH1, ReducedPidParams(*SINGLE_CASES["bench1"][1]),
+                    McConfig(samples=n, seed=51)),
+            partial(mc_variance_cascade, IMMERSION, CascadeParams(*CASCADE_K),
+                    McConfig(samples=n, seed=53, correlation_mode="fully_correlated"))]
+    for run in runs:
+        run()    # first-call allocations of numpy and scipy stay out of the count
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * n
