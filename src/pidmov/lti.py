@@ -1,7 +1,8 @@
 """Discrete-time LTI primitives in the backward-shift operator q^-1.
 
 Transfer functions are rational in q^-1 with a separate integer dead time;
-their truncated impulse and step responses are plain 1-d arrays.
+their truncated impulse and step responses are plain 1-d arrays. Every 1/A
+in pidmov goes through ``lfilter``, always from rest.
 """
 
 from __future__ import annotations
@@ -9,9 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import _sigtools
 
 from .tlbo import finite, whole
+
+
+def lfilter(b, a, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """b/a applied to x along ``axis``, from rest: the private C call that
+    ``scipy.signal.lfilter`` makes when a has two or more coefficients (with
+    one, it convolves instead), checked equal in tests/test_filter.py."""
+    return _sigtools._linear_filter(b, a, x, axis)
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,11 @@ class DiscreteTransferFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "delay", delay)
 
+    @property
+    def delayed_num(self) -> np.ndarray:
+        """q^-d b, the numerator with the dead time, as one coefficient vector."""
+        return np.concatenate([np.zeros(self.delay), self.num])
+
     def impulse_response(self, n: int) -> np.ndarray:
         """First n+1 impulse-response coefficients g(0..n).
 
@@ -54,11 +67,12 @@ class DiscreteTransferFunction:
         """
         if n < 0:
             raise ValueError(f"response length must be >= 0, got n={n}")
+        # q^-d b goes in the input, not the filter's numerator: a unit pulse
+        # through b/den rounds differently
         x = np.zeros(n + 1)
-        if self.delay <= n:
-            m = min(len(self.num), n + 1 - self.delay)
-            x[self.delay:self.delay + m] = self.num[:m]
-        return lfilter([1.0], self.den, x)
+        qb = self.delayed_num[: n + 1]
+        x[: qb.size] = qb
+        return lfilter(np.ones(1), self.den, x)
 
     def step_response(self, n: int) -> np.ndarray:
         """Running sum of the impulse response, s(k) = sum_{i<=k} g(i)."""

@@ -61,10 +61,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .cascade import CascadeParams, CascadeProblem
-from .lti import DiscreteTransferFunction
+from .lti import DiscreteTransferFunction, lfilter
 from .singleloop import ReducedPidParams, SingleLoopProblem
 from .tlbo import whole
 
@@ -160,9 +159,7 @@ def _variance_with_se(y: np.ndarray, burn: int, mode: str, settle: int | None) -
 
 def _filter_path(tf: DiscreteTransferFunction, x: np.ndarray) -> np.ndarray:
     """Open-loop filtering of exogenous signals (L, R) through num/den * q^-delay."""
-    b = np.zeros(tf.delay + len(tf.num))
-    b[tf.delay:] = tf.num
-    return lfilter(b, tf.den, x, axis=0)
+    return lfilter(tf.delayed_num, tf.den, x, axis=0)
 
 
 def _process_block(x: np.ndarray, inp: np.ndarray, tf: DiscreteTransferFunction,

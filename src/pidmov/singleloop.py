@@ -16,10 +16,7 @@ output variance phi'phi * sigma_a^2 is the objective the optimizer drives
 down.
 
 Every closed-loop filter here goes through ``_LoopKernel.responses``, one
-``_filter`` call per candidate over all the signals it needs. ``_filter``
-calls the C routine behind ``scipy.signal.lfilter`` directly: that is
-private scipy API (checked equal to ``lfilter`` on scipy 1.17.1, see
-tests/test_filter.py).
+``lti.lfilter`` call from rest per candidate over all the signals it needs.
 """
 
 from __future__ import annotations
@@ -29,9 +26,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import _sigtools
 
-from .lti import DiscreteTransferFunction
+from .lti import DiscreteTransferFunction, lfilter
 from .reports import AssessmentReport, block, run_entry
 from .tlbo import (DIVERGENCE_SENTINEL, OptResult, TlboConfig, divergence_penalty, finite,
                    lockstep, whole)
@@ -104,23 +100,6 @@ class SingleLoopProblem:
         object.__setattr__(self, "truncation", _truncation(self.truncation, self.process.delay))
 
 
-_ONE = np.ones(1)
-
-
-def _filter(a_cl: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
-    """1/A_cl applied to x along its last axis, from rest or from the state zi:
-    the call ``lfilter([1.0], a_cl, x, zi=zi)`` makes when A_cl has two or more
-    coefficients, as every A_cl here has, without its Python wrapper."""
-    if zi is None:
-        return _sigtools._linear_filter(_ONE, a_cl, x, -1)
-    return _sigtools._linear_filter(_ONE, a_cl, x, -1, zi)[0]
-
-
-def _delayed(tf) -> np.ndarray:
-    """q^-d b of a transfer function, as one coefficient vector."""
-    return np.concatenate([np.zeros(tf.delay), tf.num])
-
-
 class _LoopKernel:
     """Closed-loop polynomials in q^-1 of a single loop or a PI/P cascade.
 
@@ -151,11 +130,11 @@ class _LoopKernel:
         self.loop = loop
         self.single = isinstance(loop, SingleLoopProblem)
         if self.single:
-            self.path = _delayed(loop.process)
+            self.path = loop.process.delayed_num
             base, inner = np.array(loop.process.den), np.zeros(1)
         else:
-            qb2 = _delayed(loop.inner)
-            self.path = np.convolve(_delayed(loop.outer), qb2)
+            qb2 = loop.inner.delayed_num
+            self.path = np.convolve(loop.outer.delayed_num, qb2)
             base = np.convolve(loop.outer.den, loop.inner.den)
             inner = np.convolve(loop.outer.den, qb2)
         n = max(base.size, inner.size)
@@ -195,7 +174,7 @@ class _LoopKernel:
         if self.single:
             f0, f1 = row(self.base, loop.disturbance)[None], np.zeros((1, p))
         else:
-            c2 = np.convolve(loop.inner.den, _delayed(loop.outer))
+            c2 = np.convolve(loop.inner.den, loop.outer.delayed_num)
             f0 = np.array([row(self.base, loop.outer_disturbance),
                            row(c2, loop.inner_disturbance)])
             f1 = np.array([row(self.inner, loop.outer_disturbance), np.zeros(p)])
@@ -212,16 +191,15 @@ class _LoopKernel:
             x = f0 + kappa[0] * f1
             return self.responses(a_cl, x.reshape(1, -1, x.shape[-1]))[0].reshape(x.shape)
 
-    def responses(self, a_cl, x, zi=None) -> np.ndarray:
-        """1/A_cl of row i of the (m, n) a_cl applied to every signal that
-        candidate needs, in one ``_filter`` call per row: x is the
-        (1, signals, width) forcing all rows share or the (m, signals, width)
-        forcing of each, and zi, if given, the (m, signals, n - 1) states the
-        signals resume from. Causal, so a signal zero-padded to the width
-        keeps the bits of its own shorter call."""
-        m = len(a_cl)
+    def responses(self, a_cl, x) -> np.ndarray:
+        """1/A_cl of row i of the (m, n) a_cl applied from rest to every
+        signal that candidate needs, in one ``lfilter`` call per row: x is
+        the (1, signals, width) forcing all rows share or the
+        (m, signals, width) forcing of each. Causal, so a signal zero-padded
+        to the width keeps the bits of its own shorter call."""
+        m, one = len(a_cl), np.ones(1)
         xs = x if len(x) == m else [x[0]] * m
-        rows = [_filter(a, xi, z) for a, xi, z in zip(a_cl, xs, [None] * m if zi is None else zi)]
+        rows = [lfilter(one, a, xi) for a, xi in zip(a_cl, xs)]
         return np.array(rows) if m else np.empty((0, *x.shape[1:]))
 
     @cached_property

@@ -9,10 +9,10 @@ truncated variance. Both enter the scalarized objective
 where IAE is accumulated per sample of the step response (the tracking term
 is excited by the setpoint alone, the variance term by the disturbances
 alone). Both responses run through the same 1/A_cl, so each candidate's
-step and shock response are one filter call. The tuning objective builds
-what its gains do not change once: in the single loop, where kappa is 1,
-that is the whole forcing of the step error and the shock response, which
-every row of every batch shares.
+step and shock response are one filter call, from rest. The tuning
+objective builds what its gains do not change once: in the single loop,
+where kappa is 1, that is the whole forcing of the step error and the shock
+response, which every row of every batch shares.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import lfiltic
 
 from .cascade import CascadeProblem
 from .reports import TuningReport, TuningRow
@@ -76,10 +75,11 @@ def _finish_record(y, sp, n, ts, stages, diverged_at) -> StepResponseRecord:
     err = spv - y
     stable = diverged_at is None
     iae = overshoot = settling = math.inf
+    ahead = y * np.sign(sp)         # the output in the step direction
     if stable:
         iae = float(np.abs(err).sum())
-        # peak excursion beyond the setpoint, in the step direction
-        peak = float((y * np.sign(sp)).max())
+        # peak excursion beyond the setpoint
+        peak = float(ahead.max())
         overshoot = max((peak - abs(sp)) / abs(sp) * 100.0, 0.0)
         out_of_band = np.nonzero(np.abs(err) > 0.02 * abs(sp))[0]
         if out_of_band.size == 0:
@@ -91,7 +91,7 @@ def _finish_record(y, sp, n, ts, stages, diverged_at) -> StepResponseRecord:
             "start_sample": start,
             "stop_sample": stop,
             "iae": float(np.abs(err[start:stop]).sum()) if stable else math.inf,
-            "peak_output": float(y[start:stop].max()) if stable else math.inf,
+            "peak_output": float(np.sign(sp) * ahead[start:stop].max()) if stable else math.inf,
         }
         for start, stop in stages
     ]
@@ -164,21 +164,23 @@ def _stage(kernel: _LoopKernel, a_cl, x, amplitude: float, e: np.ndarray,
     tracking errors r - y and y2[:, s:] with the inner outputs, continuing
     from the samples before s (the single loop has no y2); with an (m, p)
     ``phi``, fill it with each row's shock response of the variance
-    objective too. Every signal of a row goes through its 1/A_cl in one
-    ``kernel.responses`` call. Return each row's first sample where an
-    output left its divergence limit or was not finite, or stop if none
-    did, and the outputs r - e from sample s on. Call it inside
+    objective too. Every signal of a row goes through its 1/A_cl from rest
+    in one ``kernel.responses`` call; at s > 0 the forcing first drops what
+    the samples before s add to A_cl v from s on. Return each row's first
+    sample where an output left its divergence limit or was not finite, or
+    stop if none did, and the outputs r - e from sample s on. Call it inside
     ``np.errstate`` that ignores overflow and invalid operations.
     """
     limit = DIVERGENCE_LIMIT_FACTOR * abs(amplitude)
     stop = e.shape[1]
     cascade = not kernel.single
     signals = [e, y2] if cascade else [e]
-    zi = None
     if s:
-        zi = np.array([[lfiltic([1.0], a, v[i, :s][::-1]) for v in signals]
-                       for i, a in enumerate(a_cl)])
-    out = kernel.responses(a_cl, x, zi)
+        for i, a in enumerate(a_cl):
+            for j, v in enumerate(signals):
+                past = np.convolve(a, v[i, :s])[s:stop]
+                x[i, j, : past.size] -= past
+    out = kernel.responses(a_cl, x)
     for j, v in enumerate(signals):
         v[:, s:] = out[:, j, : stop - s]
     if phi is not None:
@@ -208,7 +210,8 @@ def _step_response(kernel: _LoopKernel, stages, horizon: int, amplitude: float):
     ``stages`` lists (gains, start) with the first start at 0 and no two
     consecutive gain sets equal. At a switch s the control before s, written
     as the new gains' law plus a correction c_u on u, adds (1 - q^-1) c_u to
-    the forcing, and the filters resume from the signals before s.
+    the forcing, and the signals before s enter the new stage's forcing as
+    their terms of A_cl v from s on, so each stage filters from rest.
     """
     # tracking error r - y, inner output (zero in the single loop), and the integrator
     # increments and kappa actually applied

@@ -1,17 +1,19 @@
-"""``singleloop._filter`` calls scipy's private ``_sigtools._linear_filter``
-without ``lfilter``'s Python wrapper. It must give the bits of the public
-``lfilter([1.0], a_cl, x)``, and of ``lfilter([1.0], a_cl, x, zi=zi)`` from a
-filter state, for every A_cl the kernel can build: two or more coefficients,
-stable or not, and inputs that already hold inf or NaN. The kernel filters
-all the signals of a candidate in one call, so each row of a 2-D input must
-keep the bits of its own 1-D call, from its own state, and zero-padded to a
-longer width."""
+"""``lti.lfilter`` calls scipy's private ``_sigtools._linear_filter`` without
+``lfilter``'s Python wrapper, always from rest. It must give the bits of the
+public ``lfilter(b, a, x, axis)`` for every call pidmov makes: 1/A_cl for
+every A_cl the kernel can build (two or more coefficients, stable or not,
+inputs that already hold inf or NaN), a general numerator along axis 0 of
+the Monte-Carlo oracle's (L, R) disturbance draws, and the impulse
+response's 1/den, den = (1,) included. The kernel filters all the signals of
+a candidate in one call, so each row of a 2-D input must keep the bits of
+its own 1-D call, zero-padded to a longer width too."""
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter as scipy_lfilter
 
-from pidmov.singleloop import _filter
+from pidmov.lti import DiscreteTransferFunction, lfilter
+from pidmov.mc import _filter_path
 
 
 def _polynomial(rng, order: int, stable: bool) -> np.ndarray:
@@ -53,47 +55,49 @@ def test_filter_equals_lfilter_bit_for_bit(order, stable):
         a_cl = _polynomial(rng, order, stable)
         assert (np.abs(np.roots(a_cl)) < 1).all() == stable
         for x in _inputs(rng, int(rng.integers(1, 400))):
-            want = lfilter([1.0], a_cl, x)
-            got = _filter(a_cl, x)
+            want = scipy_lfilter([1.0], a_cl, x)
+            got = lfilter(np.ones(1), a_cl, x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            for row, xr in zip(np.atleast_2d(got), np.atleast_2d(x)):
+                assert row.tobytes() == lfilter(np.ones(1), a_cl, xr).tobytes()
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_general_numerator_along_axis_0_equals_lfilter(order, stable):
+    # the Monte-Carlo disturbance paths: q^-d b / a over the rows of
+    # time-major (L, R) draws
+    rng = np.random.default_rng(5000 * order + stable)
+    for _ in range(5):
+        den = _polynomial(rng, order, stable)
+        tf = DiscreteTransferFunction(num=tuple(rng.normal(size=int(rng.integers(1, 5)))),
+                                      den=tuple(den), delay=int(rng.integers(0, 6)))
+        x = rng.normal(size=(int(rng.integers(1, 400)), int(rng.integers(1, 9))))
+        b = np.zeros(tf.delay + len(tf.num))
+        b[tf.delay:] = tf.num
+        want = scipy_lfilter(b, tf.den, x, axis=0)
+        for got in (lfilter(tf.delayed_num, tf.den, x, axis=0), _filter_path(tf, x)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
-@pytest.mark.parametrize("order", range(2, 31))
-def test_filter_from_a_state_equals_lfilter_bit_for_bit(order, stable):
-    # a gain switch resumes the step loop from the outputs before it: the
-    # filter state that lfiltic builds from them, as tuning._stage does
-    rng = np.random.default_rng(2000 * order + stable)
-    for _ in range(5):
-        a_cl = _polynomial(rng, order, stable)
-        past = rng.normal(size=int(rng.integers(1, 2 * order)))
-        zi = lfiltic([1.0], a_cl, past[::-1])
-        for x in _inputs(rng, int(rng.integers(1, 400))):
-            if x.ndim > 1:
-                continue            # a resumed stage filters one row
-            want = lfilter([1.0], a_cl, x, zi=zi)[0]
-            got = _filter(a_cl, x, zi)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
-@pytest.mark.parametrize("order", range(2, 31))
-def test_rows_from_their_own_states_equal_lfilter_per_row(order, stable):
-    # a resumed cascade stage filters the tracking error and the inner
-    # output in one call, each row from the state lfiltic builds from its past
-    rng = np.random.default_rng(3000 * order + stable)
-    for _ in range(5):
-        a_cl = _polynomial(rng, order, stable)
-        for x in _inputs(rng, int(rng.integers(1, 400))):
-            x = np.atleast_2d(x)
-            pasts = [rng.normal(size=int(rng.integers(1, 2 * order))) for _ in x]
-            zi = np.array([lfiltic([1.0], a_cl, past[::-1]) for past in pasts])
-            got = _filter(a_cl, x, zi)
-            assert got.shape == x.shape and got.dtype == x.dtype
-            for row, xr, z in zip(got, x, zi):
-                assert row.tobytes() == lfilter([1.0], a_cl, xr, zi=z)[0].tobytes()
+def test_impulse_response_is_one_filter_of_the_delayed_numerator():
+    # q^-d b placed in the input, then 1/den: the bits of scipy's lfilter,
+    # a unit denominator included
+    rng = np.random.default_rng(6)
+    for k in range(60):
+        den = (1.0,) if k % 4 == 0 else tuple(_polynomial(rng, int(rng.integers(1, 6)), k % 3 > 0))
+        tf = DiscreteTransferFunction(num=tuple(rng.normal(size=int(rng.integers(1, 5)))),
+                                      den=den, delay=int(rng.integers(0, 8)))
+        for n in (0, tf.delay, int(rng.integers(0, 60))):
+            x = np.zeros(n + 1)
+            b = tf.delayed_num[: n + 1]
+            x[: b.size] = b
+            got = tf.impulse_response(n)
+            assert got.tobytes() == scipy_lfilter([1.0], tf.den, x).tobytes()
+            if tf.den == (1.0,):
+                assert got.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
@@ -108,7 +112,5 @@ def test_zero_padding_keeps_the_prefix(order, stable):
             x = np.atleast_2d(x)
             padded = np.pad(x, ((0, 0), (0, int(rng.integers(1, 400)))))
             n = x.shape[1]
-            assert _filter(a_cl, padded)[:, :n].tobytes() == _filter(a_cl, x).tobytes()
-            zi = np.array([lfiltic([1.0], a_cl, rng.normal(size=order)) for _ in x])
-            assert (_filter(a_cl, padded, zi)[:, :n].tobytes()
-                    == _filter(a_cl, x, zi).tobytes())
+            assert (lfilter(np.ones(1), a_cl, padded)[:, :n].tobytes()
+                    == lfilter(np.ones(1), a_cl, x).tobytes())

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pidmov
 from pidmov import DiscreteTransferFunction
 
 from oracles import impulse_by_division
@@ -99,3 +103,23 @@ def test_step_is_running_sum_of_impulse():
 def test_step_of_integrator_counts_up():
     tf = DiscreteTransferFunction(num=(1.0,), den=(1.0, -1.0))
     assert tf.step_response(3) == pytest.approx([1, 2, 3, 4])
+
+
+def test_delayed_numerator_is_the_dead_time_then_the_numerator():
+    tf = DiscreteTransferFunction(num=(0.5, -0.25), den=(1.0, -0.8), delay=3)
+    assert tf.delayed_num.tolist() == [0.0, 0.0, 0.0, 0.5, -0.25]
+    assert DiscreteTransferFunction(num=(2.0,), den=(1.0,)).delayed_num.tolist() == [2.0]
+
+
+def test_scipy_signal_is_imported_by_lti_alone():
+    # every filter goes through lti.lfilter, so loading scipy's C filter
+    # some other way is a change to lti.py alone
+    found = []
+    for path in sorted(Path(pidmov.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.signal"):
+                found += [(path.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name, None) for a in node.names
+                          if a.name.startswith("scipy.signal")]
+    assert found == [("lti.py", "scipy.signal", "_sigtools")]

@@ -31,7 +31,8 @@ from pidmov import (
     load_benchmark,
     load_case_study,
 )
-from pidmov.singleloop import _filter, _LoopKernel, guarded_variance
+from pidmov.lti import lfilter
+from pidmov.singleloop import _LoopKernel, guarded_variance
 from pidmov.tlbo import DIVERGENCE_SENTINEL, divergence_penalty
 
 from oracles import dense_cascade, dense_closed_loop_single, pole_radius
@@ -279,7 +280,7 @@ def test_stacked_sum_of_squares_equals_guarded_variance_per_row(loop, noise):
     ks = np.vstack([rows, diverging])
     kappa, _, a_cl = kernel.closed_loop_batch(ks)
     f0, f1, scale = kernel._unit
-    phi = [_filter(a, f0 + c * f1) for a, c in zip(a_cl, kappa)]
+    phi = [lfilter(np.ones(1), a, f0 + c * f1) for a, c in zip(a_cl, kappa)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = kernel.variance_batch(ks)

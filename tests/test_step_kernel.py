@@ -104,6 +104,26 @@ def test_multistage_switches_match_oracle(name, pattern):
     assert_close(rec, y, iae)
 
 
+@pytest.mark.parametrize("name, k, diverged_at", [
+    ("air_single", (60.0, -90.0, 35.0), None),
+    ("immersion_cascade", (30.0, -20.0, -5.0), 147),
+])
+def test_switch_into_an_unstable_loop_matches_oracle(name, k, diverged_at):
+    # the stage after the switch starts from rest with its past in its
+    # forcing; the unstable 1/A_cl grows whatever that leaves, so a past
+    # carried inexactly leaves the oracle long before the divergence limit
+    problem = PROBLEMS[name]
+    assert pole_radius(problem.loop, k) > 1.2
+    stages = [(PUBLISHED[name][0], 0), (k, 100)]
+    y, iae, lost = oracle(problem, stages)
+    rec = simulate_multistage(problem, stages)
+    assert rec.diverged_at == lost == diverged_at
+    n = problem.horizon if diverged_at is None else diverged_at
+    assert np.all(np.abs(rec.output[:n] - y[:n]) <= 1e-6 * np.maximum(1.0, np.abs(y[:n])))
+    if diverged_at is None:
+        assert rec.iae == pytest.approx(iae, rel=1e-6)
+
+
 def test_switches_lie_within_the_horizon():
     problem = PROBLEMS["air_single"]
     k1, k2 = PUBLISHED["air_single"][:2]

@@ -24,7 +24,7 @@ from pidmov import (
     tune,
     tuning_objective,
 )
-from pidmov import singleloop
+from pidmov import lti, singleloop
 from pidmov.singleloop import _LoopKernel
 from pidmov.tlbo import DIVERGENCE_SENTINEL, divergence_penalty
 
@@ -152,12 +152,13 @@ def test_objective_when_the_truncation_outruns_the_horizon(case, truncation):
 def test_one_filter_call_per_candidate(case, monkeypatch):
     shapes = []
 
-    def counted(a_cl, x, zi=None):
+    def counted(b, a, x, axis=-1):
         shapes.append(x.shape)
-        return real(a_cl, x, zi)
+        return real(b, a, x, axis)
 
-    real = singleloop._filter
-    monkeypatch.setattr(singleloop, "_filter", counted)
+    # the kernel's lti.lfilter, under the name singleloop imports it by
+    real = lti.lfilter
+    monkeypatch.setattr(singleloop, "lfilter", counted)
     problem = load_case_study(case)
     n, p, cascade = problem.horizon, problem.loop.truncation, case == "immersion_cascade"
     published = CASE_STUDY_REFERENCE[case][1][1]
@@ -170,7 +171,7 @@ def test_one_filter_call_per_candidate(case, monkeypatch):
         tuning_objective(replace(problem, weight=rho)).batch(ks)
         # the step error, the cascade's inner output, the shock response
         assert shapes == [(1 + cascade + (rho > 0), max(n, p) if rho else n)] * len(ks)
-    # the record: one call per stage, each resumed one after the first
+    # the record: one call per stage, each from rest
     shapes.clear()
     k1, k2 = (k for _, k, _ in CASE_STUDY_REFERENCE[case][:2])
     assert simulate_multistage(problem, [(k1, 0), (k2, 37), (k1, 150)]).stable
@@ -268,6 +269,27 @@ def test_amplitude_scales_linearly():
                                      setpoint=2.5), AIR_RHO0)
     assert r2.output == pytest.approx(2.5 * r1.output, rel=1e-12)
     assert r2.iae == pytest.approx(2.5 * r1.iae, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["air_single", "immersion_cascade"])
+def test_reversed_setpoint_negates_the_record(case):
+    # every output and peak negates, every IAE and time stays; the peak is
+    # taken along the step direction, not as the largest output
+    problem = load_case_study(case)
+    k1, k2, k3 = (k for _, k, _ in CASE_STUDY_REFERENCE[case][:3])
+    stages = [(k1, 0), (k2, 37), (k3, 150)]
+    up = simulate_multistage(problem, stages)
+    down = simulate_multistage(replace(problem, setpoint=-problem.setpoint), stages)
+    assert up.stable and down.stable
+    for name in ("setpoint", "output", "error"):
+        assert np.array_equal(getattr(down, name), -getattr(up, name))
+    assert np.array_equal(down.time, up.time)
+    for name in ("iae", "overshoot_pct", "settling_time_s", "diverged_at"):
+        assert getattr(down, name) == getattr(up, name)
+    assert len(down.stage_criteria) == len(up.stage_criteria) == 3
+    for d, u in zip(down.stage_criteria, up.stage_criteria):
+        assert d == {**u, "peak_output": -u["peak_output"]}
+        assert u["peak_output"] > 0.5 * problem.setpoint
 
 
 def test_cascade_step_tracks_setpoint():
