@@ -6,14 +6,21 @@ inputs that already hold inf or NaN), a general numerator along axis 0 of
 the Monte-Carlo oracle's (L, R) disturbance draws, and the impulse
 response's 1/den, den = (1,) included. The kernel filters all the signals of
 a candidate in one call, so each row of a 2-D input must keep the bits of
-its own 1-D call, zero-padded to a longer width too."""
+its own 1-D call, zero-padded to a longer width too. A resumed multistage
+stage filters from rest too, its signals' past moved into the forcing, and
+must meet scipy's ``lfilter`` from the ``lfiltic`` state of that past."""
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter as scipy_lfilter
+from scipy.signal import lfilter as scipy_lfilter, lfiltic
 
+from pidmov import load_case_study
 from pidmov.lti import DiscreteTransferFunction, lfilter
 from pidmov.mc import _filter_path
+from pidmov.singleloop import _LoopKernel
+from pidmov.tuning import _stage
+
+_CASCADE = _LoopKernel(load_case_study("immersion_cascade").loop)
 
 
 def _polynomial(rng, order: int, stable: bool) -> np.ndarray:
@@ -61,6 +68,37 @@ def test_filter_equals_lfilter_bit_for_bit(order, stable):
             assert got.tobytes() == want.tobytes()
             for row, xr in zip(np.atleast_2d(got), np.atleast_2d(x)):
                 assert row.tobytes() == lfilter(np.ones(1), a_cl, xr).tobytes()
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+@pytest.mark.parametrize("order", range(2, 31))
+def test_rows_from_their_own_states_equal_lfilter_per_row(order, stable):
+    # a resumed stage of m candidates filters each one's tracking error and
+    # inner output from rest in one call per row, each signal's past moved
+    # into its forcing: the response scipy's lfilter gives from the state
+    # lfiltic builds from that past, up to the rounding of the subtracted
+    # past, and per row the bits of that row's call alone
+    rng = np.random.default_rng(3000 * order + stable)
+    for _ in range(5):
+        m = int(rng.integers(1, 4))
+        a_cl = np.array([_polynomial(rng, order, stable) for _ in range(m)])
+        stop = int(rng.integers(2, 400))
+        s = int(rng.integers(1, stop))
+        e, y2 = rng.normal(size=(2, m, stop))
+        x = rng.normal(size=(m, 2, stop - s + int(rng.integers(0, 50))))
+        alone = [(e[i:i + 1].copy(), y2[i:i + 1].copy()) for i in range(m)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (ei, y2i) in enumerate(alone):
+                _stage(_CASCADE, a_cl[i:i + 1], x[i:i + 1].copy(), 1.0, ei, y2i, s)
+            _stage(_CASCADE, a_cl, x.copy(), 1.0, e, y2, s)
+        for i, a in enumerate(a_cl):
+            for j, v in enumerate((e, y2)):
+                assert v[i].tobytes() == alone[i][j][0].tobytes()
+                want = scipy_lfilter([1.0], a, x[i, j, : stop - s],
+                                     zi=lfiltic([1.0], a, v[i, :s][::-1]))[0]
+                scale = np.abs(a).sum() * np.maximum.accumulate(
+                    np.maximum(np.abs(v[i, :s]).max(), np.abs(want)))
+                assert (np.abs(v[i, s:] - want) <= 1e-9 * scale).all()
 
 
 @pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
